@@ -115,9 +115,10 @@ def draw_realization(profile: ChannelProfile, n_f: int, n_t: int,
     scale = np.sqrt(np.asarray(profile.powers) / 2.0)
     taps = scale * (rng.standard_normal((n_t, len(scale)))
                     + 1j * rng.standard_normal((n_t, len(scale))))
-    k = first_subcarrier + np.arange(n_f)
-    phases = np.exp(-2j * np.pi * np.outer(k, np.asarray(profile.delays)) / n_fft)
-    gains = phases @ taps.T  # (n_f, n_t)
+    # taps are drawn inline, not by draw_taps: the (n_t, n_taps) draw order
+    # fixes every seeded sweep's output
+    gains = freq_response(taps.T, profile.delays, n_fft,
+                          first_subcarrier + np.arange(n_f))  # (n_f, n_t)
     return ChannelRealization(gains=gains, n_fft=n_fft, first_subcarrier=first_subcarrier)
 
 

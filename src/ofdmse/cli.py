@@ -29,9 +29,9 @@ import numpy as np
 
 from .ber_sim import SimConfig, simulate_ber
 from .channel import draw_realization, load_channel_profile, snr_grid, tux_profile
-from .loading import block_total_bits, flat_mask, greedy_total_bits, position_ber_table
+from .loading import sweep_total_bits
 from .metrics import SweepPoint, aggregate, eta_r
-from .modulation import CATALOG, CATALOG_BITS, ber, min_snr_for
+from .modulation import CATALOG, ber, min_snr_for
 from .systems import SYSTEM_NAMES, build_profile, load_profile
 
 CSV_HEADER = "system,snr_db,p_t,trials,mean_bits_per_subcarrier,ci95,eta_r"
@@ -45,6 +45,11 @@ VALIDATION_SPAN = (1e-4, 0.4)
 #: per-point symbol counts are raised until this many bit errors are expected,
 #: keeping the relative noise near 2% so a 10% tolerance is a 4-sigma test
 VALIDATION_ERROR_FLOOR = 2000
+
+
+def _noise_var(snr_db: float) -> float:
+    """Noise variance of a swept SNR point (unit symbol energy)."""
+    return 10.0 ** (-snr_db / 10.0)
 
 
 @dataclass(frozen=True)
@@ -78,6 +83,16 @@ class SweepConfig:
             raise ValueError("duplicate system names")
         if not self.snr_db:
             raise ValueError("empty SNR grid")
+        for snr in self.snr_db:
+            try:
+                usable = math.isfinite(snr) and 0.0 < _noise_var(snr) < math.inf
+            except OverflowError:
+                usable = False
+            if not usable:
+                raise ValueError(
+                    f"--snr-db value {snr!r} is unusable: it must be finite and "
+                    f"give a positive, finite noise variance 10^(-snr/10)"
+                )
         for p in self.p_t:
             if not 0.0 < p < 0.5:
                 raise ValueError(f"p_t must lie in (0, 0.5), got {p!r}")
@@ -119,21 +134,20 @@ def _resolve_profiles(cfg: SweepConfig):
 
 
 def _sweep_chunk(args):
-    """Per-trial bit totals for trials [lo, hi); runs in a worker process."""
+    """Per-trial bit totals for trials [lo, hi); runs in a worker process.
+
+    One batch is one channel draw: every SNR point and system of the draw is
+    loaded in one sweep_total_bits call, so memory does not grow with trials.
+    """
     chan, grids, snr_db, p_ts, seed, n_f, n_t, n_fft, granularity, lo, hi = args
-    masks = [flat_mask(g) for g in grids]
-    total_bits = greedy_total_bits if granularity == "subcarrier" else block_total_bits
-    noise_vars = [10.0 ** (-s / 10.0) for s in snr_db]
+    noise_vars = [_noise_var(s) for s in snr_db]
     out = np.zeros((len(p_ts), len(snr_db), len(grids), hi - lo), dtype=np.int64)
     for pt_i, p_t in enumerate(p_ts):
         for trial in range(lo, hi):
             rng = np.random.default_rng(np.random.SeedSequence((seed, pt_i, trial)))
             real = draw_realization(chan, n_f, n_t, rng, n_fft=n_fft)
-            for snr_i, noise_var in enumerate(noise_vars):
-                snr = snr_grid(real, noise_var)
-                cost = CATALOG_BITS[:, None] * position_ber_table(snr)
-                for g_i, mask in enumerate(masks):
-                    out[pt_i, snr_i, g_i, trial - lo] = total_bits(mask, cost, p_t)
+            snrs = [snr_grid(real, noise_var) for noise_var in noise_vars]
+            out[pt_i, :, :, trial - lo] = sweep_total_bits(grids, snrs, p_t, granularity)
     return out
 
 
@@ -290,6 +304,14 @@ def _parse_pt(value) -> tuple:
     return tuple(float(v) for v in str(value).split(",") if v.strip())
 
 
+def _parse_int(key, value) -> int:
+    """An integer setting: a JSON integer or a float without a fraction."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not float(value).is_integer()):
+        raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _build_sweep_config(args, parser) -> SweepConfig:
     file_cfg = {}
     if args.config is not None:
@@ -314,17 +336,17 @@ def _build_sweep_config(args, parser) -> SweepConfig:
             systems=_parse_systems(pick("systems", "fb,cm,lte,mlte")),
             snr_db=_parse_snr(pick("snr_db", "0:2:40")),
             p_t=_parse_pt(pick("pt", "1e-3")),
-            trials=int(pick("trials", 1000)),
-            seed=int(pick("seed", 0)),
-            n_fft=int(pick("nfft", 128)),
-            n_f=int(pick("n_f", 12)),
-            n_t=int(pick("n_t", 7)),
+            trials=_parse_int("trials", pick("trials", 1000)),
+            seed=_parse_int("seed", pick("seed", 0)),
+            n_fft=_parse_int("nfft", pick("nfft", 128)),
+            n_f=_parse_int("n_f", pick("n_f", 12)),
+            n_t=_parse_int("n_t", pick("n_t", 7)),
             granularity=str(pick("granularity", "subcarrier")),
             profile_file=pick("profile_file"),
             channel_file=pick("channel_file"),
             out=pick("out"),
             series_out=pick("series_out"),
-            workers=int(pick("workers", 1)),
+            workers=_parse_int("workers", pick("workers", 1)),
         )
     except ValueError as exc:
         parser.error(str(exc))

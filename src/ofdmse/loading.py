@@ -12,6 +12,9 @@ Three solvers are provided:
   exhaustive_allocate  brute-force oracle, refuses search spaces above 10^7
   block_allocate       one scheme for the whole grid (coarse signalling mode)
 
+sweep_total_bits gives the greedy or block bit totals of every (SNR point,
+system) pair of one channel draw in one batched pass, for the sweep.
+
 Positions are ordered time-major, pos = l * n_f + k, and all tie-breaks are
 total orders, so every solver is deterministic.
 """
@@ -46,6 +49,8 @@ _LEVELS = tuple(
     (b, tuple(i for i, s in enumerate(CATALOG) if s.bits == b))
     for b in sorted({s.bits for s in CATALOG if s.bits})
 )
+
+_LEVEL_BITS = np.array([b for b, _rows in _LEVELS], dtype=np.int8)
 
 _SILENT_ROWS = tuple(i for i, s in enumerate(CATALOG) if s.silent)
 
@@ -85,11 +90,16 @@ def position_ber_table(snr: SnrGrid) -> np.ndarray:
     are zero.  Computing this once and passing it to the allocators lets
     several constraint grids share one SNR draw cheaply.
     """
-    gamma = _flat_gamma(snr)
-    table = np.zeros((N_SCHEMES, gamma.size))
+    return _ber_table(_flat_gamma(snr))
+
+
+def _ber_table(gamma: np.ndarray) -> np.ndarray:
+    """position_ber_table of flat gammas with leading dimensions:
+    (..., N) -> (..., n_schemes, N), one ber call per scheme."""
+    table = np.zeros(gamma.shape[:-1] + (N_SCHEMES, gamma.shape[-1]))
     for i, s in enumerate(CATALOG):
         if not s.silent:
-            table[i] = ber(s, gamma)
+            table[..., i, :] = ber(s, gamma)
     return table
 
 
@@ -244,13 +254,114 @@ def greedy_allocate(
     return _to_allocation(idx, constraints.n_f, constraints.n_t, s_sum, w_sum)
 
 
-def greedy_total_bits(mask, cost, p_t) -> int:
-    """Greedy bit total from prebuilt flat tables, skipping Allocation wrap.
+def _dense_candidates(mask, cost):
+    """_candidate_moves for a batch of grids, as dense (..., N, levels) arrays.
 
-    The batch sweep path: one position_ber_table serves every system's grid.
+    mask and cost are (..., n_schemes, N) and broadcast against each other.
+    Returns the cheapest allowed scheme per (grid, position, bits level) and
+    its cost, inf where the level has no allowed scheme.
     """
-    _idx, _s, w_sum = _greedy_core(mask, cost, p_t)
-    return int(w_sum)
+    lead = np.broadcast_shapes(mask.shape[:-2], cost.shape[:-2])
+    n = mask.shape[-1]
+    cand_idx = np.zeros(lead + (n, len(_LEVELS)), dtype=np.int8)
+    cand_cost = np.empty(lead + (n, len(_LEVELS)))
+    for lvl, (_bits, rows) in enumerate(_LEVELS):
+        rows = list(rows)
+        level_cost = np.where(mask[..., rows, :], cost[..., rows, :], np.inf)
+        pick = np.argmin(level_cost, axis=-2)
+        cand_cost[..., lvl] = np.take_along_axis(
+            level_cost, pick[..., None, :], axis=-2)[..., 0, :]
+        cand_idx[..., lvl] = np.asarray(rows, dtype=np.int8)[pick]
+    return cand_idx, cand_cost
+
+
+def _next_moves(cand_cost, cur_bits, cur_cost, s_sum, w_sum, p_t):
+    """Each grid's next move by _greedy_core's rule, with its arithmetic.
+
+    Returns (flat (position, level) index, whether the grid has a feasible
+    move).  Greatest bit gain wins, then the lowest resulting average, then
+    the first position: positions are the outer flat axis, and at one
+    position only one level gives the top gain.
+    """
+    gain = _LEVEL_BITS - cur_bits[:, :, None]
+    avg_new = s_sum[:, None, None] + cand_cost
+    avg_new -= cur_cost[:, :, None]
+    avg_new /= w_sum[:, None, None] + gain
+    gain = np.where((gain > 0) & (avg_new <= p_t), gain, 0).reshape(len(gain), -1)
+    top_gain = gain.max(axis=1)
+    avg_new = avg_new.reshape(len(gain), -1)
+    avg_new[gain != top_gain[:, None]] = np.inf
+    return np.argmin(avg_new, axis=1), top_gain > 0
+
+
+def _greedy_lockstep(mask, cost, p_t):
+    """_greedy_core over many grids at once; returns (idx, S, W) per grid.
+
+    mask and cost are (..., n_schemes, N) and broadcast against each other;
+    each leading index is one grid, and the results keep the leading shape.
+    Every grid still in play commits its next move in the same iteration,
+    and the same full-recompute guard vets it: a row-wise sum over a
+    C-contiguous array is bit-identical to the 1-D np.sum.  So each grid
+    ends bit-identical to its serial run.  A grid leaves the batch when it
+    has no feasible move, so the iteration count is the longest grid's
+    commit count, not the sum over grids.
+    """
+    cand_idx, cand_cost = _dense_candidates(mask, cost)
+    lead, (n, levels) = cand_cost.shape[:-2], cand_cost.shape[-2:]
+    r = math.prod(lead)
+    cand_idx, cand_cost = cand_idx.reshape(r, n, levels), cand_cost.reshape(r, n, levels)
+    silent = np.stack([_initial_silent(m) for m in mask.reshape((-1,) + mask.shape[-2:])])
+    silent = silent.reshape(mask.shape[:-2] + (n,))
+    out_idx = np.broadcast_to(silent, lead + (n,)).reshape(r, n).astype(np.int8)
+    out_s = np.zeros(r)
+    out_w = np.zeros(r, dtype=np.int64)
+    rows = np.arange(r)
+    cur_bits = np.zeros((r, n), dtype=np.int8)
+    cur_cost = np.zeros((r, n))
+    s_sum, w_sum = np.zeros(r), np.zeros(r, dtype=np.int32)
+    while rows.size:
+        j, live = _next_moves(cand_cost, cur_bits, cur_cost, s_sum, w_sum, p_t)
+        if not live.all():
+            # a grid without a feasible move is final; drop it from the batch
+            out_s[rows[~live]], out_w[rows[~live]] = s_sum[~live], w_sum[~live]
+            rows, j, s_sum, w_sum = rows[live], j[live], s_sum[live], w_sum[live]
+            cur_bits, cur_cost = cur_bits[live], cur_cost[live]
+            cand_idx, cand_cost = cand_idx[live], cand_cost[live]
+        p, lvl = np.divmod(j, levels)
+        at = np.arange(rows.size)
+        old_bits, old_cost = cur_bits[at, p], cur_cost[at, p]
+        cur_bits[at, p] = _LEVEL_BITS[lvl]
+        cur_cost[at, p] = cand_cost[at, p, lvl]
+        s_full = cur_cost.sum(axis=1)
+        w_full = cur_bits.sum(axis=1, dtype=np.int32)
+        bad = s_full / w_full > p_t
+        # the incremental screen was optimistic by rounding; drop the move
+        cur_bits[at[bad], p[bad]] = old_bits[bad]
+        cur_cost[at[bad], p[bad]] = old_cost[bad]
+        cand_cost[at[bad], p[bad], lvl[bad]] = np.inf
+        good = ~bad
+        s_sum[good], w_sum[good] = s_full[good], w_full[good]
+        out_idx[rows[good], p[good]] = cand_idx[at[good], p[good], lvl[good]]
+    return out_idx.reshape(lead + (n,)), out_s.reshape(lead), out_w.reshape(lead)
+
+
+def sweep_total_bits(grids, snrs, p_t: float, granularity: str) -> np.ndarray:
+    """Bit totals of every (SNR grid, constraint grid) pair of one draw.
+
+    Returns int64 (len(snrs), len(grids)): the total_bits greedy_allocate
+    ("subcarrier" granularity) or block_allocate ("block") would give for
+    each pair.  One ber call per scheme covers every SNR grid, and the greedy
+    loader runs all pairs in lockstep.  The SNR grids must share the
+    constraint grids' shape, and p_t must lie in (0, 0.5).
+    """
+    masks = np.stack([flat_mask(g) for g in grids])
+    cost = _ber_table(np.stack([_flat_gamma(s) for s in snrs]))
+    cost *= CATALOG_BITS[:, None]
+    if granularity == "subcarrier":
+        return _greedy_lockstep(masks[None], cost[:, None], p_t)[2]
+    return np.array(
+        [[_block_core(m, c, p_t)[2] for m in masks] for c in cost], dtype=np.int64
+    )
 
 
 def exhaustive_allocate(
@@ -329,12 +440,6 @@ def _block_core(mask, cost, p_t):
     if best_idx is None:
         return silent, 0.0, 0
     return np.where(mask[best_idx], best_idx, silent), best_s, best_w
-
-
-def block_total_bits(mask, cost, p_t) -> int:
-    """Block-mode bit total from prebuilt flat tables (batch sweep path)."""
-    _idx, _s, w_sum = _block_core(mask, cost, p_t)
-    return int(w_sum)
 
 
 def block_allocate(

@@ -71,7 +71,6 @@ CATALOG = tuple(
 )
 CATALOG_INDEX = {s: i for i, s in enumerate(CATALOG)}
 CATALOG_BITS = np.array([s.bits for s in CATALOG])
-CATALOG_FAMILY = np.array([int(s.family) for s in CATALOG])
 N_SCHEMES = len(CATALOG)
 
 

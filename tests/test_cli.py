@@ -4,6 +4,7 @@ paired draws, custom profile and channel inputs."""
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from ofdmse.cli import (
 from ofdmse.metrics import SweepPoint
 
 FULL_ROW = "ask:8,psk:16,qam:64"
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def small_config(**overrides):
@@ -84,6 +87,14 @@ class TestSweepConfig:
             SweepConfig(workers=0)
         with pytest.raises(ValueError):
             SweepConfig(seed=-1)
+
+    @pytest.mark.parametrize("snr", [math.nan, math.inf, -math.inf, 1e6, -1e6])
+    def test_unusable_snr_names_the_flag(self, snr):
+        with pytest.raises(ValueError, match="--snr-db"):
+            SweepConfig(snr_db=(10.0, snr))
+
+    def test_extreme_but_usable_snr_accepted(self):
+        assert SweepConfig(snr_db=(-300.0, 300.0)).snr_db == (-300.0, 300.0)
 
 
 class TestRunSweep:
@@ -159,6 +170,20 @@ class TestRunSweep:
         pf.write_text("1 1\n0 0 data psk:2\n")
         with pytest.raises(ValueError, match="sweep grid"):
             run_sweep(small_config(profile_file=str(pf)))
+
+
+class TestGoldenCsv:
+    """Byte-for-byte pins of a short sweep: fb,cm,lte,mlte over 0:2:40 dB,
+    p_t 1e-3 and 1e-2, 20 trials, seed 0, one file per granularity."""
+
+    @pytest.mark.parametrize("granularity", ["subcarrier", "block"])
+    def test_matches_fixture(self, granularity):
+        cfg = SweepConfig(p_t=(1e-3, 1e-2), trials=20, seed=0,
+                          granularity=granularity)
+        buf = io.StringIO()
+        write_csv(run_sweep(cfg), buf)
+        expected = (FIXTURES / f"sweep_20trials_{granularity}.csv").read_text()
+        assert buf.getvalue() == expected
 
 
 class TestCsvFormat:
@@ -237,6 +262,24 @@ class TestMain:
                 main(argv)
             assert err.value.code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("key", ["trials", "seed", "workers", "nfft", "n_f", "n_t"])
+    @pytest.mark.parametrize("value", [2.7, True, "3"])
+    def test_non_integer_config_value(self, tmp_path, capsys, key, value):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({key: value}))
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", "--config", str(cfg_file)])
+        assert err.value.code == 2
+        assert f"config key {key!r}" in capsys.readouterr().err
+
+    def test_integral_float_config_value(self, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(
+            {"systems": ["lte"], "snr_db": [10.0], "trials": 3.0}))
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--config", str(cfg_file), "--out", str(out)]) == 0
+        assert out.read_text().splitlines()[1].split(",")[3] == "3"
 
     def test_unknown_config_key(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"

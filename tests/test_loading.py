@@ -1,10 +1,11 @@
 """Allocator tests: weighted-average evaluation, greedy vs exhaustive oracle,
-block mode, instance serialization."""
+block mode, the batched sweep loader, instance serialization."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ofdmse.channel import SnrGrid, draw_realization, snr_grid, tux_profile
 from ofdmse.loading import (
@@ -16,8 +17,17 @@ from ofdmse.loading import (
     load_instance,
     position_ber_table,
     save_instance,
+    sweep_total_bits,
 )
-from ofdmse.modulation import CATALOG, ber, min_snr_for, scheme_from_name
+from ofdmse.loading import _ber_table, _greedy_core, _greedy_lockstep
+from ofdmse.modulation import (
+    CATALOG,
+    CATALOG_BITS,
+    N_SCHEMES,
+    ber,
+    min_snr_for,
+    scheme_from_name,
+)
 from ofdmse.systems import ConstraintGrid, Role, build_profile
 
 Q_SQRT2 = 0.078649603525142565  # BPSK BER at gamma = 1
@@ -255,6 +265,66 @@ class TestBlockMode:
             b = block_allocate(snr, prof.grid, 1e-3)
             x = exhaustive_allocate(snr, prof.grid, 1e-3)
             assert b.total_bits <= x.total_bits
+
+
+SILENT_ROWS = [i for i, s in enumerate(CATALOG) if s.silent]
+
+#: With all schemes allowed at p_t = GUARD_P_T, one greedy commit on these
+#: gammas passes the incremental screen and fails the full recompute.
+GUARD_GAMMAS = [229.771, 5.22527, 426.042, 1.49866, 10.1942, 2.82383, 22.4398,
+                244.891, 4.91956, 1.4324, 16.3552, 3.94039, 1.8718, 55.0804,
+                7.87206, 103.749]
+GUARD_P_T = 0.0005996757725321551
+
+
+@st.composite
+def lockstep_batches(draw):
+    """Several grids of random masks (a silent scheme kept at every
+    position) and log-spread gammas, so grids finish at different steps."""
+    rows = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 12))
+    mask = draw(arrays(bool, (rows, N_SCHEMES, n)))
+    keep = draw(arrays(np.int64, (rows, 1, n), elements=st.sampled_from(SILENT_ROWS)))
+    np.put_along_axis(mask, keep, True, axis=1)
+    exponents = draw(arrays(float, (rows, n), elements=st.floats(-1.0, 4.5)))
+    return mask, 10.0 ** exponents
+
+
+def assert_lockstep_matches_core(mask, gamma, p_t):
+    cost = CATALOG_BITS[:, None] * _ber_table(gamma)
+    idx, s_sum, w_sum = _greedy_lockstep(mask, cost, p_t)
+    for r in range(mask.shape[0]):
+        ref_idx, ref_s, ref_w = _greedy_core(mask[r], cost[r], p_t)
+        np.testing.assert_array_equal(idx[r], ref_idx)
+        assert s_sum[r].hex() == float(ref_s).hex()
+        assert w_sum[r] == ref_w
+
+
+class TestLockstep:
+    @settings(max_examples=80, deadline=None)
+    @given(batch=lockstep_batches(), p_t=st.floats(1e-5, 0.3))
+    def test_matches_serial_core_row_by_row(self, batch, p_t):
+        assert_lockstep_matches_core(*batch, p_t)
+
+    def test_matches_serial_core_through_rounding_guard(self):
+        gamma = np.array(GUARD_GAMMAS)
+        rows = np.stack([gamma, gamma * 10.0, gamma, gamma / 10.0])
+        mask = np.ones((4, N_SCHEMES, gamma.size), dtype=bool)
+        mask[1, 9:] = False  # no QAM on the second grid
+        assert_lockstep_matches_core(mask, rows, GUARD_P_T)
+
+    @pytest.mark.parametrize("granularity,allocate", [
+        ("subcarrier", greedy_allocate), ("block", block_allocate)])
+    def test_sweep_totals_match_single_grid_calls(self, granularity, allocate):
+        rng = np.random.default_rng(5)
+        real = draw_realization(tux_profile(), 12, 7, rng)
+        snrs = [snr_grid(real, 10 ** (-db / 10)) for db in (0.0, 12.0, 24.0, 40.0)]
+        grids = [build_profile(n).grid for n in ("fb", "cm", "lte", "mlte")]
+        for p_t in (1e-3, 1e-2):
+            totals = sweep_total_bits(grids, snrs, p_t, granularity)
+            assert totals.shape == (len(snrs), len(grids))
+            expected = [[allocate(snr, g, p_t).total_bits for g in grids] for snr in snrs]
+            np.testing.assert_array_equal(totals, expected)
 
 
 class TestInstanceRoundTrip:
