@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from multiprocessing import get_context
@@ -72,6 +73,11 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name in ("trials", "seed", "workers", "n_fft", "n_f", "n_t"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if not self.systems:
             raise ValueError("at least one system is required")
         for name in self.systems:
@@ -268,13 +274,6 @@ def _print_validation_report(rows, all_ok, fh):
     fh.write(f"{len(rows) - n_fail}/{len(rows)} points passed\n")
 
 
-_SWEEP_KEYS = (
-    "systems", "snr_db", "pt", "trials", "seed", "nfft", "n_f", "n_t",
-    "granularity", "profile_file", "channel_file", "out", "series_out",
-    "workers",
-)
-
-
 def _parse_systems(value) -> tuple:
     names = value if isinstance(value, (list, tuple)) else str(value).split(",")
     return tuple(n.strip().lower() for n in names if n.strip())
@@ -304,12 +303,39 @@ def _parse_pt(value) -> tuple:
     return tuple(float(v) for v in str(value).split(",") if v.strip())
 
 
-def _parse_int(key, value) -> int:
+def _parse_int(value) -> int:
     """An integer setting: a JSON integer or a float without a fraction."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or not float(value).is_integer()):
-        raise ValueError(f"config key {key!r} must be an integer, got {value!r}")
+        raise TypeError(f"must be an integer, got {value!r}")
     return int(value)
+
+
+def _parse_path(value):
+    """A file path setting: a string, or null for the default."""
+    if value is not None and not isinstance(value, str):
+        raise TypeError(f"must be a path string or null, got {value!r}")
+    return value
+
+
+#: config-file key (also the argparse dest) -> (SweepConfig field, parser);
+#: a key given neither as a flag nor in the file keeps the field's default
+_SWEEP_KEYS = {
+    "systems": ("systems", _parse_systems),
+    "snr_db": ("snr_db", _parse_snr),
+    "pt": ("p_t", _parse_pt),
+    "trials": ("trials", _parse_int),
+    "seed": ("seed", _parse_int),
+    "nfft": ("n_fft", _parse_int),
+    "n_f": ("n_f", _parse_int),
+    "n_t": ("n_t", _parse_int),
+    "granularity": ("granularity", str),
+    "profile_file": ("profile_file", _parse_path),
+    "channel_file": ("channel_file", _parse_path),
+    "out": ("out", _parse_path),
+    "series_out": ("series_out", _parse_path),
+    "workers": ("workers", _parse_int),
+}
 
 
 def _build_sweep_config(args, parser) -> SweepConfig:
@@ -325,29 +351,19 @@ def _build_sweep_config(args, parser) -> SweepConfig:
         if unknown:
             parser.error(f"unknown config keys: {', '.join(unknown)}")
 
-    def pick(key, fallback=None):
+    fields = {}
+    for key, (field, parse) in _SWEEP_KEYS.items():
         flag = getattr(args, key)
-        if flag is not None:
-            return flag
-        return file_cfg.get(key, fallback)
-
+        if flag is None and key not in file_cfg:
+            continue
+        try:
+            fields[field] = parse(file_cfg[key] if flag is None else flag)
+        except TypeError as exc:
+            parser.error(f"config key {key!r} {exc}")
+        except ValueError as exc:
+            parser.error(str(exc))
     try:
-        return SweepConfig(
-            systems=_parse_systems(pick("systems", "fb,cm,lte,mlte")),
-            snr_db=_parse_snr(pick("snr_db", "0:2:40")),
-            p_t=_parse_pt(pick("pt", "1e-3")),
-            trials=_parse_int("trials", pick("trials", 1000)),
-            seed=_parse_int("seed", pick("seed", 0)),
-            n_fft=_parse_int("nfft", pick("nfft", 128)),
-            n_f=_parse_int("n_f", pick("n_f", 12)),
-            n_t=_parse_int("n_t", pick("n_t", 7)),
-            granularity=str(pick("granularity", "subcarrier")),
-            profile_file=pick("profile_file"),
-            channel_file=pick("channel_file"),
-            out=pick("out"),
-            series_out=pick("series_out"),
-            workers=_parse_int("workers", pick("workers", 1)),
-        )
+        return SweepConfig(**fields)
     except ValueError as exc:
         parser.error(str(exc))
 

@@ -50,7 +50,16 @@ _LEVELS = tuple(
     for b in sorted({s.bits for s in CATALOG if s.bits})
 )
 
-_LEVEL_BITS = np.array([b for b, _rows in _LEVELS], dtype=np.int8)
+_LEVEL_BITS = np.array([b for b, _rows in _LEVELS])
+
+#: Bit gains a single move can make, 1 .. the top level's bits.
+_GAINS = np.arange(1, _LEVEL_BITS[-1] + 1)
+
+#: _LEVEL_OF[b, g - 1] is the index of the level with b + g bits, or
+#: len(_LEVELS) when no level has that many (an all-inf candidate row).
+_LEVEL_OF = np.full(2 * _GAINS.size + 1, len(_LEVELS))
+_LEVEL_OF[_LEVEL_BITS] = np.arange(len(_LEVELS))
+_LEVEL_OF = _LEVEL_OF[np.arange(_GAINS.size + 1)[:, None] + _GAINS]
 
 _SILENT_ROWS = tuple(i for i, s in enumerate(CATALOG) if s.silent)
 
@@ -255,43 +264,25 @@ def greedy_allocate(
 
 
 def _dense_candidates(mask, cost):
-    """_candidate_moves for a batch of grids, as dense (..., N, levels) arrays.
+    """_candidate_moves for a batch of grids, as dense (..., levels + 1, N) arrays.
 
     mask and cost are (..., n_schemes, N) and broadcast against each other.
-    Returns the cheapest allowed scheme per (grid, position, bits level) and
-    its cost, inf where the level has no allowed scheme.
+    Returns the cheapest allowed scheme per (grid, bits level, position) and
+    its cost, inf where the level has no allowed scheme.  The last level is
+    an all-inf sentinel that _LEVEL_OF gives for bit counts no level has.
     """
     lead = np.broadcast_shapes(mask.shape[:-2], cost.shape[:-2])
-    n = mask.shape[-1]
-    cand_idx = np.zeros(lead + (n, len(_LEVELS)), dtype=np.int8)
-    cand_cost = np.empty(lead + (n, len(_LEVELS)))
+    shape = lead + (len(_LEVELS) + 1, mask.shape[-1])
+    cand_idx = np.zeros(shape, dtype=np.int8)
+    cand_cost = np.full(shape, np.inf)
     for lvl, (_bits, rows) in enumerate(_LEVELS):
         rows = list(rows)
         level_cost = np.where(mask[..., rows, :], cost[..., rows, :], np.inf)
         pick = np.argmin(level_cost, axis=-2)
-        cand_cost[..., lvl] = np.take_along_axis(
+        cand_cost[..., lvl, :] = np.take_along_axis(
             level_cost, pick[..., None, :], axis=-2)[..., 0, :]
-        cand_idx[..., lvl] = np.asarray(rows, dtype=np.int8)[pick]
+        cand_idx[..., lvl, :] = np.asarray(rows, dtype=np.int8)[pick]
     return cand_idx, cand_cost
-
-
-def _next_moves(cand_cost, cur_bits, cur_cost, s_sum, w_sum, p_t):
-    """Each grid's next move by _greedy_core's rule, with its arithmetic.
-
-    Returns (flat (position, level) index, whether the grid has a feasible
-    move).  Greatest bit gain wins, then the lowest resulting average, then
-    the first position: positions are the outer flat axis, and at one
-    position only one level gives the top gain.
-    """
-    gain = _LEVEL_BITS - cur_bits[:, :, None]
-    avg_new = s_sum[:, None, None] + cand_cost
-    avg_new -= cur_cost[:, :, None]
-    avg_new /= w_sum[:, None, None] + gain
-    gain = np.where((gain > 0) & (avg_new <= p_t), gain, 0).reshape(len(gain), -1)
-    top_gain = gain.max(axis=1)
-    avg_new = avg_new.reshape(len(gain), -1)
-    avg_new[gain != top_gain[:, None]] = np.inf
-    return np.argmin(avg_new, axis=1), top_gain > 0
 
 
 def _greedy_lockstep(mask, cost, p_t):
@@ -305,11 +296,20 @@ def _greedy_lockstep(mask, cost, p_t):
     ends bit-identical to its serial run.  A grid leaves the batch when it
     has no feasible move, so the iteration count is the longest grid's
     commit count, not the sum over grids.
+
+    Moves are scored per gain class: by_gain[row, g - 1, p] is the cost of
+    the move at p that gains g bits (inf if no level has that many bits or
+    the guard rejected it), refreshed only where a move was tried.  The
+    numerators (S + cost) - cur_cost are _greedy_core's; division by the
+    positive W + g is monotone under correct rounding, so a class has a
+    feasible move iff its smallest numerator does.  The greatest feasible
+    class wins, and argmin over its averages picks the lowest average,
+    then the first position.
     """
     cand_idx, cand_cost = _dense_candidates(mask, cost)
-    lead, (n, levels) = cand_cost.shape[:-2], cand_cost.shape[-2:]
+    lead, (levels, n) = cand_cost.shape[:-2], cand_cost.shape[-2:]
     r = math.prod(lead)
-    cand_idx, cand_cost = cand_idx.reshape(r, n, levels), cand_cost.reshape(r, n, levels)
+    cand_idx, cand_cost = cand_idx.reshape(r, levels, n), cand_cost.reshape(r, levels, n)
     silent = np.stack([_initial_silent(m) for m in mask.reshape((-1,) + mask.shape[-2:])])
     silent = silent.reshape(mask.shape[:-2] + (n,))
     out_idx = np.broadcast_to(silent, lead + (n,)).reshape(r, n).astype(np.int8)
@@ -319,29 +319,49 @@ def _greedy_lockstep(mask, cost, p_t):
     cur_bits = np.zeros((r, n), dtype=np.int8)
     cur_cost = np.zeros((r, n))
     s_sum, w_sum = np.zeros(r), np.zeros(r, dtype=np.int32)
+    by_gain = cand_cost.take(_LEVEL_OF[0], axis=1)
+    num_buf = np.empty_like(by_gain)
+    # each step of a grid commits a move (at most _GAINS.size * n, as each
+    # adds bits), rejects a candidate for good (at most (levels - 1) * n) or
+    # finds no move, which ends the grid
+    steps_left = n * (_GAINS.size + levels)
     while rows.size:
-        j, live = _next_moves(cand_cost, cur_bits, cur_cost, s_sum, w_sum, p_t)
+        steps_left -= 1
+        if steps_left < 0:
+            raise RuntimeError("lockstep greedy exceeded its step bound")
+        num = num_buf[: rows.size]
+        np.add(by_gain, s_sum[:, None, None], out=num)
+        num -= cur_cost[:, None, :]
+        w_new = w_sum[:, None] + _GAINS
+        feasible = num.min(axis=2) / w_new <= p_t
+        gi = _GAINS.size - 1 - np.argmax(feasible[:, ::-1], axis=1)
+        at = np.arange(rows.size)
+        avg_new = num[at, gi]
+        avg_new /= w_new[at, gi][:, None]
+        p = np.argmin(avg_new, axis=1)
+        live = feasible.any(axis=1)
         if not live.all():
             # a grid without a feasible move is final; drop it from the batch
             out_s[rows[~live]], out_w[rows[~live]] = s_sum[~live], w_sum[~live]
-            rows, j, s_sum, w_sum = rows[live], j[live], s_sum[live], w_sum[live]
-            cur_bits, cur_cost = cur_bits[live], cur_cost[live]
-            cand_idx, cand_cost = cand_idx[live], cand_cost[live]
-        p, lvl = np.divmod(j, levels)
-        at = np.arange(rows.size)
+            rows, s_sum, w_sum, gi, p = (a[live] for a in (rows, s_sum, w_sum, gi, p))
+            cur_bits, cur_cost, by_gain = (a[live] for a in (cur_bits, cur_cost, by_gain))
+            at = np.arange(rows.size)
         old_bits, old_cost = cur_bits[at, p], cur_cost[at, p]
-        cur_bits[at, p] = _LEVEL_BITS[lvl]
-        cur_cost[at, p] = cand_cost[at, p, lvl]
+        lvl = _LEVEL_OF[old_bits, gi]
+        cur_bits[at, p] = old_bits + (gi + 1)
+        cur_cost[at, p] = by_gain[at, gi, p]
         s_full = cur_cost.sum(axis=1)
         w_full = cur_bits.sum(axis=1, dtype=np.int32)
-        bad = s_full / w_full > p_t
-        # the incremental screen was optimistic by rounding; drop the move
-        cur_bits[at[bad], p[bad]] = old_bits[bad]
-        cur_cost[at[bad], p[bad]] = old_cost[bad]
-        cand_cost[at[bad], p[bad], lvl[bad]] = np.inf
-        good = ~bad
+        good = s_full / w_full <= p_t
+        if not good.all():
+            # the incremental screen was optimistic by rounding; drop the move
+            bad = ~good
+            cur_bits[at[bad], p[bad]] = old_bits[bad]
+            cur_cost[at[bad], p[bad]] = old_cost[bad]
+            cand_cost[rows[bad], lvl[bad], p[bad]] = np.inf
+        by_gain[at, :, p] = cand_cost[rows[:, None], _LEVEL_OF[cur_bits[at, p]], p[:, None]]
         s_sum[good], w_sum[good] = s_full[good], w_full[good]
-        out_idx[rows[good], p[good]] = cand_idx[at[good], p[good], lvl[good]]
+        out_idx[rows[good], p[good]] = cand_idx[rows[good], lvl[good], p[good]]
     return out_idx.reshape(lead + (n,)), out_s.reshape(lead), out_w.reshape(lead)
 
 

@@ -129,19 +129,20 @@ def _psk_gray_ber(order: int, gamma: np.ndarray) -> np.ndarray:
     """Exact Gray-coded M-PSK bit error probability at symbol SNR gamma.
 
     Sums bit errors over the M-1 angular decision wedges; wedge probabilities
-    are differences of exact phase-exceedance terms.  Valid for every
-    power-of-two order >= 2.
+    are differences of exact phase-exceedance terms.  Each decision boundary
+    (2j-1)pi/M, j = 1..M/2, is evaluated once and shared by the two wedges
+    it separates.  Valid for every power-of-two order >= 2.
     """
     k = order.bit_length() - 1
     weights = _psk_wedge_weights(order)
     total = np.zeros_like(gamma)
+    outer = _phase_exceedance(np.pi / order, gamma)
     for m in range(1, order // 2):
-        wedge = _phase_exceedance((2 * m - 1) * np.pi / order, gamma) - _phase_exceedance(
-            (2 * m + 1) * np.pi / order, gamma
-        )
-        total += (weights[m] + weights[order - m]) * np.maximum(wedge, 0.0)
+        inner = _phase_exceedance((2 * m + 1) * np.pi / order, gamma)
+        total += (weights[m] + weights[order - m]) * np.maximum(outer - inner, 0.0)
+        outer = inner
     # the wedge opposite the transmitted point straddles +-pi
-    total += weights[order // 2] * 2.0 * _phase_exceedance((order - 1) * np.pi / order, gamma)
+    total += weights[order // 2] * 2.0 * outer
     return total / k
 
 

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ofdmse import cli
 from ofdmse.cli import (
     CSV_HEADER,
     SweepConfig,
@@ -95,6 +96,20 @@ class TestSweepConfig:
 
     def test_extreme_but_usable_snr_accepted(self):
         assert SweepConfig(snr_db=(-300.0, 300.0)).snr_db == (-300.0, 300.0)
+
+    @pytest.mark.parametrize("field", ["trials", "seed", "workers", "n_fft", "n_f", "n_t"])
+    @pytest.mark.parametrize("value", [2.7, 3.0, True, "3", None])
+    def test_integer_fields_reject_other_types(self, field, value):
+        with pytest.raises(TypeError, match=f"^{field} must be an integer"):
+            SweepConfig(**{field: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = small_config(trials=np.int64(3), seed=np.int32(3), workers=np.uint8(1),
+                           n_fft=np.int64(128), n_f=np.int16(12), n_t=np.int64(7))
+        assert cfg == small_config(trials=3)
+        assert all(type(getattr(cfg, f)) is int
+                   for f in ("trials", "seed", "workers", "n_fft", "n_f", "n_t"))
+        assert run_sweep(cfg) == run_sweep(small_config(trials=3))
 
 
 class TestRunSweep:
@@ -280,6 +295,40 @@ class TestMain:
         out = tmp_path / "o.csv"
         assert main(["sweep", "--config", str(cfg_file), "--out", str(out)]) == 0
         assert out.read_text().splitlines()[1].split(",")[3] == "3"
+
+    @pytest.mark.parametrize("key", ["out", "series_out", "profile_file", "channel_file"])
+    @pytest.mark.parametrize("value", [1, True, ["a.csv"]])
+    def test_non_string_path_config_value(self, tmp_path, capsys, key, value):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({key: value, "systems": ["lte"],
+                                        "snr_db": [20.0], "trials": 2}))
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", "--config", str(cfg_file)])
+        assert err.value.code == 2
+        assert f"config key {key!r} must be a path string" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["snr_db", "pt"])
+    def test_non_numeric_list_config_value(self, tmp_path, capsys, key):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({key: [None]}))
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", "--config", str(cfg_file)])
+        assert err.value.code == 2
+        assert f"config key {key!r}" in capsys.readouterr().err
+
+    def test_null_path_config_value_means_default(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"out": None, "systems": ["lte"],
+                                        "snr_db": [20.0], "trials": 2}))
+        assert main(["sweep", "--config", str(cfg_file)]) == 0
+        assert capsys.readouterr().out.startswith(CSV_HEADER + "\n")
+
+    def test_no_flags_build_the_default_config(self, monkeypatch, capsys):
+        seen = []
+        monkeypatch.setattr(cli, "run_sweep", lambda cfg: seen.append(cfg) or [])
+        assert main(["sweep"]) == 0
+        assert seen == [SweepConfig()]
+        assert capsys.readouterr().out == CSV_HEADER + "\n"
 
     def test_unknown_config_key(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"

@@ -280,13 +280,21 @@ GUARD_P_T = 0.0005996757725321551
 @st.composite
 def lockstep_batches(draw):
     """Several grids of random masks (a silent scheme kept at every
-    position) and log-spread gammas, so grids finish at different steps."""
+    position) and log-spread gammas, so grids finish at different steps.
+
+    Sometimes positions repeat the mask and gamma of one of the first three,
+    so equal resulting averages leave the choice to the first-position rule.
+    """
     rows = draw(st.integers(1, 6))
     n = draw(st.integers(1, 12))
     mask = draw(arrays(bool, (rows, N_SCHEMES, n)))
     keep = draw(arrays(np.int64, (rows, 1, n), elements=st.sampled_from(SILENT_ROWS)))
     np.put_along_axis(mask, keep, True, axis=1)
     exponents = draw(arrays(float, (rows, n), elements=st.floats(-1.0, 4.5)))
+    if draw(st.booleans()):
+        src = draw(arrays(np.int64, (rows, n), elements=st.integers(0, min(n, 3) - 1)))
+        mask = np.take_along_axis(mask, src[:, None, :], axis=2)
+        exponents = np.take_along_axis(exponents, src, axis=1)
     return mask, 10.0 ** exponents
 
 

@@ -21,6 +21,7 @@ from ofdmse.modulation import (
     min_snr_for,
     scheme_from_name,
 )
+from ofdmse.modulation import _phase_exceedance, _psk_gray_ber, _psk_wedge_weights
 
 ASK = ModulationFamily.ASK
 PSK = ModulationFamily.PSK
@@ -87,6 +88,33 @@ def test_psk_matches_phase_density_quadrature():
         got = ber(ModulationScheme(PSK, order), gamma)
         rel = abs(got - reference) / reference
         assert rel < 1e-12, f"PSK{order} at {gamma}: {got} vs {reference} (rel {rel:.2e})"
+
+
+def psk_ber_two_calls_per_wedge(order, gamma):
+    """The PSK sum evaluating both boundaries of every wedge afresh."""
+    weights = _psk_wedge_weights(order)
+    total = np.zeros_like(gamma)
+    for m in range(1, order // 2):
+        wedge = _phase_exceedance((2 * m - 1) * np.pi / order, gamma) - _phase_exceedance(
+            (2 * m + 1) * np.pi / order, gamma
+        )
+        total += (weights[m] + weights[order - m]) * np.maximum(wedge, 0.0)
+    total += weights[order // 2] * 2.0 * _phase_exceedance((order - 1) * np.pi / order, gamma)
+    return total / (order.bit_length() - 1)
+
+
+@pytest.mark.parametrize("order", [8, 16, 32])
+def test_shared_psk_boundaries_are_bit_identical(order):
+    gammas = np.concatenate([[0.0], np.geomspace(1e-3, 1e5, 500)])
+    assert _psk_gray_ber(order, gammas).tobytes() == (
+        psk_ber_two_calls_per_wedge(order, gammas).tobytes())
+    for g in gammas[::50]:
+        scalar = np.asarray(g)  # ber() hands the models 0-d arrays
+        assert _psk_gray_ber(order, scalar).tobytes() == (
+            psk_ber_two_calls_per_wedge(order, scalar).tobytes())
+        if order <= 16:
+            assert ber(ModulationScheme(PSK, order), float(g)) == float(
+                psk_ber_two_calls_per_wedge(order, scalar))
 
 
 def test_qpsk_equals_qam4_exactly():
