@@ -181,24 +181,25 @@ def run_sweep(cfg: SweepConfig) -> list:
             chunks = pool.map(_sweep_chunk, tasks)
     bits = np.concatenate(chunks, axis=3)  # (p_t, snr, system, trial)
 
-    n_positions = cfg.n_f * cfg.n_t
+    per_position = bits / (cfg.n_f * cfg.n_t)
+    if cfg.trials >= 2:
+        means, halves = aggregate(per_position)
+    else:
+        means, halves = per_position[..., 0], np.full(per_position.shape[:-1], math.nan)
+    totals = bits.sum(axis=3)
     ref_i = computed.index(REFERENCE_SYSTEM)
     points = []
     for pt_i, p_t in enumerate(cfg.p_t):
         for name in out_names:
             g_i = computed.index(name)
             for snr_i, snr in enumerate(cfg.snr_db):
-                series = bits[pt_i, snr_i, g_i] / n_positions
-                if cfg.trials >= 2:
-                    mean, half = aggregate(series)
-                else:
-                    mean, half = float(series[0]), math.nan
-                ref_total = int(bits[pt_i, snr_i, ref_i].sum())
-                own_total = int(bits[pt_i, snr_i, g_i].sum())
+                cell = pt_i, snr_i, g_i
+                ref_total = int(totals[pt_i, snr_i, ref_i])
+                own_total = int(totals[cell])
                 eta = eta_r(own_total, ref_total) if ref_total > 0 else math.nan
                 points.append(
                     SweepPoint(name, float(snr), float(p_t), cfg.trials,
-                               mean, half, eta)
+                               float(means[cell]), float(halves[cell]), eta)
                 )
     return points
 

@@ -227,7 +227,8 @@ def _to_allocation(idx_flat, n_f, n_t, s_sum, w_sum) -> Allocation:
     return Allocation(schemes=schemes, total_bits=int(w_sum), avg_ber=float(avg))
 
 
-def _check_shapes(snr: SnrGrid, constraints: ConstraintGrid, p_t: float):
+def _one_grid(snr: SnrGrid, constraints: ConstraintGrid, p_t: float, ber_table):
+    """Check a single-grid call; returns its flat mask and bits x BER cost."""
     gamma = np.asarray(snr.gamma, dtype=float)
     if gamma.shape != (constraints.n_f, constraints.n_t):
         raise ValueError(
@@ -236,6 +237,9 @@ def _check_shapes(snr: SnrGrid, constraints: ConstraintGrid, p_t: float):
         )
     if not 0.0 < p_t < 0.5:
         raise ValueError(f"p_t must lie in (0, 0.5), got {p_t!r}")
+    if ber_table is None:
+        ber_table = position_ber_table(snr)
+    return flat_mask(constraints), CATALOG_BITS[:, None] * ber_table
 
 
 def greedy_allocate(
@@ -255,11 +259,8 @@ def greedy_allocate(
 
     ``ber_table`` may carry a precomputed position_ber_table(snr).
     """
-    _check_shapes(snr, constraints, p_t)
-    if ber_table is None:
-        ber_table = position_ber_table(snr)
-    cost = CATALOG_BITS[:, None] * ber_table
-    idx, s_sum, w_sum = _greedy_core(flat_mask(constraints), cost, p_t)
+    mask, cost = _one_grid(snr, constraints, p_t, ber_table)
+    idx, s_sum, w_sum = _greedy_core(mask, cost, p_t)
     return _to_allocation(idx, constraints.n_f, constraints.n_t, s_sum, w_sum)
 
 
@@ -370,18 +371,15 @@ def sweep_total_bits(grids, snrs, p_t: float, granularity: str) -> np.ndarray:
 
     Returns int64 (len(snrs), len(grids)): the total_bits greedy_allocate
     ("subcarrier" granularity) or block_allocate ("block") would give for
-    each pair.  One ber call per scheme covers every SNR grid, and the greedy
-    loader runs all pairs in lockstep.  The SNR grids must share the
-    constraint grids' shape, and p_t must lie in (0, 0.5).
+    each pair.  One ber call per scheme covers every SNR grid, and one
+    batched call of either loader core scores every pair.  The SNR grids
+    must share the constraint grids' shape, and p_t must lie in (0, 0.5).
     """
     masks = np.stack([flat_mask(g) for g in grids])
     cost = _ber_table(np.stack([_flat_gamma(s) for s in snrs]))
     cost *= CATALOG_BITS[:, None]
-    if granularity == "subcarrier":
-        return _greedy_lockstep(masks[None], cost[:, None], p_t)[2]
-    return np.array(
-        [[_block_core(m, c, p_t)[2] for m in masks] for c in cost], dtype=np.int64
-    )
+    core = _greedy_lockstep if granularity == "subcarrier" else _block_core
+    return core(masks[None], cost[:, None], p_t)[2]
 
 
 def exhaustive_allocate(
@@ -397,8 +395,7 @@ def exhaustive_allocate(
     p = l * n_f + k varying fastest at the highest p).  Refuses search
     spaces larger than EXHAUSTIVE_LIMIT assignments.
     """
-    _check_shapes(snr, constraints, p_t)
-    mask = flat_mask(constraints)
+    mask, cost = _one_grid(snr, constraints, p_t, ber_table)
     n = mask.shape[1]
     options = [np.nonzero(mask[:, p])[0] for p in range(n)]
     sizes = np.array([o.size for o in options], dtype=np.int64)
@@ -407,9 +404,6 @@ def exhaustive_allocate(
         raise ValueError(
             f"search space {total} exceeds the exhaustive bound {EXHAUSTIVE_LIMIT}"
         )
-    if ber_table is None:
-        ber_table = position_ber_table(snr)
-    cost = CATALOG_BITS[:, None] * ber_table
     # mixed-radix digits: position 0 is the most significant, so the first
     # feasible id found at the best score is also first in position order
     strides = np.ones(n, dtype=np.int64)
@@ -441,25 +435,23 @@ def exhaustive_allocate(
 
 
 def _block_core(mask, cost, p_t):
-    """Best single scheme for the whole block; returns (idx per position, S, W)."""
-    silent = _initial_silent(mask)
-    best_idx, best_w, best_s = None, 0, 0.0
-    for i, s in enumerate(CATALOG):
-        if s.silent:
-            continue
-        loaded = mask[i]
-        w = int(s.bits * np.count_nonzero(loaded))
-        if w == 0 or w < best_w:
-            continue
-        weighted = float(np.sum(np.where(loaded, cost[i], 0.0)))
-        avg = weighted / w
-        if avg > p_t:
-            continue
-        if best_idx is None or w > best_w or avg < best_s / best_w:
-            best_idx, best_w, best_s = i, w, weighted
-    if best_idx is None:
-        return silent, 0.0, 0
-    return np.where(mask[best_idx], best_idx, silent), best_s, best_w
+    """Best single scheme per grid; returns (scheme index, S, W) per grid.
+
+    mask and cost are (..., n_schemes, N) and broadcast against each other;
+    each leading index is one grid.  A scheme is feasible when it loads bits
+    within p_t on average; the most bits win, then the lowest average, then
+    catalog order.  A grid with no feasible scheme gets row 0, the silent
+    ASK1, with S = W = 0.  Row sums over the C-contiguous last axis are
+    bit-identical to the 1-D np.sum of a one-grid call.
+    """
+    w = CATALOG_BITS * np.count_nonzero(mask, axis=-1)
+    weighted = np.where(mask, cost, 0.0).sum(axis=-1)
+    avg = np.divide(weighted, w, out=np.full(weighted.shape, np.inf), where=w > 0)
+    w = np.where(avg <= p_t, w, 0)
+    top = (w > 0) & (w == w.max(axis=-1, keepdims=True))
+    best = np.argmin(np.where(top, avg, np.inf), axis=-1)[..., None]
+    return (best[..., 0], np.take_along_axis(weighted, best, -1)[..., 0],
+            np.take_along_axis(w, best, -1)[..., 0])
 
 
 def block_allocate(
@@ -474,12 +466,9 @@ def block_allocate(
     it; the rest stay silent.  Candidates are scored like the other solvers
     (most bits, then lowest average, then catalog order).
     """
-    _check_shapes(snr, constraints, p_t)
-    mask = flat_mask(constraints)
-    if ber_table is None:
-        ber_table = position_ber_table(snr)
-    cost = CATALOG_BITS[:, None] * ber_table
-    idx, s_sum, w_sum = _block_core(mask, cost, p_t)
+    mask, cost = _one_grid(snr, constraints, p_t, ber_table)
+    best, s_sum, w_sum = _block_core(mask, cost, p_t)
+    idx = np.where(mask[best], best, _initial_silent(mask))
     return _to_allocation(idx, constraints.n_f, constraints.n_t, s_sum, w_sum)
 
 

@@ -44,17 +44,19 @@ def throughput_per_subcarrier(alloc: Allocation) -> float:
     return alloc.total_bits / n_positions
 
 
-def aggregate(values) -> tuple[float, float]:
+def aggregate(values):
     """Sample mean and 95% half-width, 1.96 * std / sqrt(n), over trials.
 
-    Values must arrive in trial-index order so repeated runs reduce the same
-    way bit for bit.
+    Reduces over the last axis: a (..., trials) array gives arrays of the
+    leading shape, a 1-D series gives scalars.  A row reduction over a
+    C-contiguous last axis is bit-identical to the 1-D call.  Values must
+    arrive in trial-index order so repeated runs reduce the same way.
     """
     arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1 or arr.size < 2:
-        raise ValueError("need a flat series of at least two trial values")
-    mean = float(np.mean(arr))
-    half = float(1.96 * np.std(arr, ddof=1) / np.sqrt(arr.size))
+    if arr.ndim < 1 or arr.shape[-1] < 2:
+        raise ValueError("need at least two trial values along the last axis")
+    mean = np.mean(arr, axis=-1)
+    half = 1.96 * np.std(arr, axis=-1, ddof=1) / np.sqrt(arr.shape[-1])
     return mean, half
 
 

@@ -91,11 +91,13 @@ class ConstraintGrid:
     @cached_property
     def allowed_mask(self) -> np.ndarray:
         """Read-only boolean (n_schemes, n_f, n_t) view of the allowed sets."""
-        mask = np.zeros((len(CATALOG), self.n_f, self.n_t), dtype=bool)
-        for k, row in enumerate(self.allowed):
-            for l, schemes in enumerate(row):
-                for s in schemes:
-                    mask[CATALOG_INDEX[s], k, l] = True
+        # one catalog-row vector per distinct allowed set, gathered per position
+        sets = {}
+        which = [[sets.setdefault(x, len(sets)) for x in row] for row in self.allowed]
+        vectors = np.zeros((len(sets), len(CATALOG)), dtype=bool)
+        for schemes, i in sets.items():
+            vectors[i, [CATALOG_INDEX[s] for s in schemes]] = True
+        mask = np.ascontiguousarray(vectors[np.array(which)].transpose(2, 0, 1))
         mask.flags.writeable = False
         return mask
 

@@ -4,11 +4,15 @@ paired draws, custom profile and channel inputs."""
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ofdmse
 from ofdmse import cli
 from ofdmse.cli import (
     CSV_HEADER,
@@ -342,3 +346,18 @@ class TestMain:
                    "--out", str(tmp_path / "no" / "dir" / "x.csv")])
         assert rc == 1
         assert "cannot write" in capsys.readouterr().err
+
+
+def test_python_m_ofdmse_runs_clean():
+    src = str(Path(ofdmse.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ofdmse", "sweep", "--trials", "2", "--snr-db", "10"],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    lines = proc.stdout.splitlines()
+    assert lines[0] == CSV_HEADER
+    assert [line.split(",")[:4] for line in lines[1:]] == [
+        [name, "10", "0.001", "2"] for name in ("fb", "cm", "lte", "mlte")]

@@ -1,6 +1,9 @@
 """Allocator tests: weighted-average evaluation, greedy vs exhaustive oracle,
 block mode, the batched sweep loader, instance serialization."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +22,13 @@ from ofdmse.loading import (
     save_instance,
     sweep_total_bits,
 )
-from ofdmse.loading import _ber_table, _greedy_core, _greedy_lockstep
+from ofdmse.loading import (
+    _ber_table,
+    _block_core,
+    _greedy_core,
+    _greedy_lockstep,
+    _initial_silent,
+)
 from ofdmse.modulation import (
     CATALOG,
     CATALOG_BITS,
@@ -335,6 +344,92 @@ class TestLockstep:
             np.testing.assert_array_equal(totals, expected)
 
 
+def block_core_one_scheme_at_a_time(mask, cost, p_t):
+    """The block loader before it was vectorized: one grid, a Python loop
+    over the catalog; returns (scheme index per position, S, W)."""
+    silent = _initial_silent(mask)
+    best_idx, best_w, best_s = None, 0, 0.0
+    for i, s in enumerate(CATALOG):
+        if s.silent:
+            continue
+        loaded = mask[i]
+        w = int(s.bits * np.count_nonzero(loaded))
+        if w == 0 or w < best_w:
+            continue
+        weighted = float(np.sum(np.where(loaded, cost[i], 0.0)))
+        avg = weighted / w
+        if avg > p_t:
+            continue
+        if best_idx is None or w > best_w or avg < best_s / best_w:
+            best_idx, best_w, best_s = i, w, weighted
+    if best_idx is None:
+        return silent, 0.0, 0
+    return np.where(mask[best_idx], best_idx, silent), best_s, best_w
+
+
+#: catalog rows grouped by bits per symbol, silent rows left out
+BIT_LEVELS = [[i for i, s in enumerate(CATALOG) if s.bits == b] for b in (1, 2, 3, 4)]
+
+
+@st.composite
+def block_problems(draw):
+    """Masks of several grids (a silent scheme kept at every position), BER
+    rows of several SNR draws, and p_t in (0, 0.5).
+
+    "ties" gives every scheme of a bit level the same mask and BER row, so
+    equal W and equal averages leave the choice to catalog order, and may
+    set every BER to one power of two, which ties averages across levels.
+    "infeasible" puts p_t below every BER, so no scheme fits, and
+    "at_limit" sets p_t to one scheme's average, which must still fit.
+    """
+    n_masks, n_costs = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    n = draw(st.integers(1, 12))
+    mask = draw(arrays(bool, (n_masks, N_SCHEMES, n)))
+    keep = draw(arrays(np.int64, (n_masks, 1, n), elements=st.sampled_from(SILENT_ROWS)))
+    np.put_along_axis(mask, keep, True, axis=1)
+    exponents = draw(arrays(float, (n_costs, N_SCHEMES, n), elements=st.floats(-6.0, -0.31)))
+    ber_rows = 10.0 ** exponents
+    p_t = draw(st.floats(0.0, 0.5, exclude_min=True, exclude_max=True))
+    mode = draw(st.sampled_from(["random", "ties", "infeasible", "at_limit"]))
+    if mode == "ties":
+        for rows in BIT_LEVELS:
+            mask[:, rows] = mask[:, rows[:1]]
+            ber_rows[:, rows] = ber_rows[:, rows[:1]]
+        if draw(st.booleans()):
+            ber_rows[:] = 2.0 ** draw(st.integers(-20, -2))
+    elif mode == "infeasible":
+        p_t = float(ber_rows.min()) / 2
+    cost = CATALOG_BITS[:, None] * ber_rows
+    if mode == "at_limit":
+        m, c = draw(st.integers(0, n_masks - 1)), draw(st.integers(0, n_costs - 1))
+        i = draw(st.sampled_from([i for i, s in enumerate(CATALOG) if not s.silent]))
+        w = CATALOG[i].bits * np.count_nonzero(mask[m, i])
+        if w:
+            p_t = float(np.sum(np.where(mask[m, i], cost[c, i], 0.0))) / w
+    return mask, cost, p_t
+
+
+class TestBlockCore:
+    @settings(max_examples=150, deadline=None)
+    @given(problem=block_problems())
+    def test_matches_one_scheme_at_a_time(self, problem):
+        mask, cost, p_t = problem
+        best, s_sum, w_sum = _block_core(mask[None], cost[:, None], p_t)
+        assert best.shape == s_sum.shape == w_sum.shape == (len(cost), len(mask))
+        for c in range(len(cost)):
+            for m in range(len(mask)):
+                ref_idx, ref_s, ref_w = block_core_one_scheme_at_a_time(
+                    mask[m], cost[c], p_t)
+                idx = np.where(mask[m, best[c, m]], best[c, m], _initial_silent(mask[m]))
+                np.testing.assert_array_equal(idx, ref_idx)
+                assert s_sum[c, m].hex() == float(ref_s).hex()
+                assert w_sum[c, m] == ref_w
+                if ref_w:
+                    assert best[c, m] == ref_idx[mask[m, best[c, m]]][0]
+                else:
+                    assert CATALOG[best[c, m]].silent
+
+
 class TestInstanceRoundTrip:
     def test_save_load(self, tmp_path):
         rng = np.random.default_rng(71)
@@ -349,6 +444,27 @@ class TestInstanceRoundTrip:
         a = greedy_allocate(snr, prof.grid, 1e-3)
         b = greedy_allocate(snr2, grid2, p_t2)
         assert a == b
+
+
+INSTANCES = Path(__file__).parent / "fixtures" / "instances"
+INSTANCE_EXPECTED = json.loads((INSTANCES / "expected.json").read_text())
+
+
+class TestInstanceFixtures:
+    """save_instance files of 12x7 grids (every system, low to high SNR,
+    p_t 1e-3 and 1e-2) with the greedy and block results pinned before the
+    block loader was vectorized."""
+
+    @pytest.mark.parametrize("name", sorted(INSTANCE_EXPECTED))
+    @pytest.mark.parametrize("solver,allocate", [
+        ("greedy", greedy_allocate), ("block", block_allocate)])
+    def test_matches_pinned_allocation(self, name, solver, allocate):
+        snr, grid, p_t = load_instance(INSTANCES / name)
+        alloc = allocate(snr, grid, p_t)
+        expected = INSTANCE_EXPECTED[name][solver]
+        assert [[str(s) for s in row] for row in alloc.schemes] == expected["schemes"]
+        assert alloc.total_bits == expected["total_bits"]
+        assert repr(alloc.avg_ber) == expected["avg_ber"]
 
 
 @settings(max_examples=25, deadline=None)

@@ -83,7 +83,23 @@ def test_aggregate_errors():
     with pytest.raises(ValueError):
         aggregate([1.0])
     with pytest.raises(ValueError):
-        aggregate(np.ones((3, 2)))
+        aggregate(np.ones((3, 1)))  # three cells of one trial each
+    with pytest.raises(ValueError):
+        aggregate(2.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 20, 129, 1001])
+def test_aggregate_rows_are_bit_identical_to_one_series(n):
+    rng = np.random.default_rng(n)
+    values = rng.integers(0, 505, size=(3, 4, n)) / 84
+    means, halves = aggregate(values)
+    assert means.shape == halves.shape == (3, 4)
+    for cell in np.ndindex(3, 4):
+        series = np.array(values[cell])  # the one-cell call's 1-D reduction
+        mean = float(np.mean(series))
+        half = float(1.96 * np.std(series, ddof=1) / np.sqrt(n))
+        assert float(means[cell]).hex() == mean.hex()
+        assert float(halves[cell]).hex() == half.hex()
 
 
 def test_sweep_point_fields():

@@ -186,6 +186,44 @@ def test_load_profile(tmp_path):
     assert load_profile(f, name="alt").name == "alt"
 
 
+def mask_one_scheme_at_a_time(grid):
+    """allowed_mask as a loop over positions and schemes."""
+    mask = np.zeros((len(CATALOG), grid.n_f, grid.n_t), dtype=bool)
+    for k, row in enumerate(grid.allowed):
+        for l, schemes in enumerate(row):
+            for s in schemes:
+                mask[CATALOG_INDEX[s], k, l] = True
+    return mask
+
+
+def assert_mask_unchanged(grid):
+    mask = grid.allowed_mask
+    assert mask.dtype == bool and mask.flags.c_contiguous and not mask.flags.writeable
+    np.testing.assert_array_equal(mask, mask_one_scheme_at_a_time(grid))
+
+
+@pytest.mark.parametrize("name", ["fb", "cm", "lte", "mlte"])
+@pytest.mark.parametrize("n_f,n_t", [(12, 7), (13, 5)])
+def test_allowed_mask_of_built_in_profiles(name, n_f, n_t):
+    assert_mask_unchanged(build_profile(name, n_f, n_t).grid)
+
+
+def test_allowed_mask_of_loaded_profile(tmp_path):
+    f = tmp_path / "custom_map.txt"
+    f.write_text(MAP_4X4)
+    assert_mask_unchanged(load_profile(f).grid)
+    # a different allowed set at nearly every position
+    columns = ["ask:1", "ask:2", "ask:4", "ask:8", "psk:1", "psk:2", "psk:4",
+               "psk:8", "psk:16", "qam:1", "qam:4", "qam:16", "qam:64"]
+    lines = ["3 5"]
+    for p in range(15):
+        k, l = divmod(p, 5)
+        sets = [columns[(p + j) % 13] for j in range(1 + p % 3)]
+        lines.append(f"{k} {l} data {','.join(sets)}")
+    f.write_text("\n".join(lines) + "\n")
+    assert_mask_unchanged(load_profile(f).grid)
+
+
 def test_load_profile_errors(tmp_path):
     cases = [
         ("4\n", 1, "header"),
