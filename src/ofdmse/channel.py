@@ -55,12 +55,14 @@ def tux_profile() -> ChannelProfile:
     return ChannelProfile(TUX_DELAYS, TUX_POWERS)
 
 
-def draw_taps(profile: ChannelProfile, rng: np.random.Generator) -> np.ndarray:
-    """One Rayleigh draw: independent circularly symmetric complex Gaussian taps
-    with per-tap variance equal to the profile power."""
+def draw_taps(profile: ChannelProfile, rng: np.random.Generator, shape=()) -> np.ndarray:
+    """Rayleigh draws of shape `shape + (n_taps,)`, `shape` a tuple:
+    independent circularly symmetric complex Gaussian taps with per-tap
+    variance equal to the profile power.  All real parts are drawn before
+    all imaginary parts."""
     scale = np.sqrt(np.asarray(profile.powers) / 2.0)
-    n = len(profile.delays)
-    return scale * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    size = tuple(shape) + scale.shape
+    return scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
 
 
 def freq_response(taps: np.ndarray, delays, n_fft: int, subcarriers) -> np.ndarray:
@@ -112,11 +114,7 @@ def draw_realization(profile: ChannelProfile, n_f: int, n_t: int,
         raise ValueError(
             f"delay spread {max(profile.delays)} does not fit n_fft={n_fft}"
         )
-    scale = np.sqrt(np.asarray(profile.powers) / 2.0)
-    taps = scale * (rng.standard_normal((n_t, len(scale)))
-                    + 1j * rng.standard_normal((n_t, len(scale))))
-    # taps are drawn inline, not by draw_taps: the (n_t, n_taps) draw order
-    # fixes every seeded sweep's output
+    taps = draw_taps(profile, rng, (n_t,))
     gains = freq_response(taps.T, profile.delays, n_fft,
                           first_subcarrier + np.arange(n_f))  # (n_f, n_t)
     return ChannelRealization(gains=gains, n_fft=n_fft, first_subcarrier=first_subcarrier)

@@ -139,21 +139,37 @@ def _resolve_profiles(cfg: SweepConfig):
     return out_names, computed, profiles
 
 
+#: Channel draws loaded per sweep_total_bits call in subcarrier granularity.
+#: The lockstep greedy loader's cost per step is mostly fixed, so more draws
+#: per call spread it over more grids; its memory grows with the batch.
+#: Block granularity loads one draw per call, where batching gains nothing.
+DRAWS_PER_CALL = 2
+
+
 def _sweep_chunk(args):
     """Per-trial bit totals for trials [lo, hi); runs in a worker process.
 
-    One batch is one channel draw: every SNR point and system of the draw is
-    loaded in one sweep_total_bits call, so memory does not grow with trials.
+    Each sweep_total_bits call loads every SNR point and system of a few
+    channel draws, so memory does not grow with trials.  Each trial's draw
+    depends only on (seed, p_t index, trial), and the loader's totals do not
+    depend on which draws share a call, so the batching never shows in the
+    output.
     """
     chan, grids, snr_db, p_ts, seed, n_f, n_t, n_fft, granularity, lo, hi = args
     noise_vars = [_noise_var(s) for s in snr_db]
+    batch = DRAWS_PER_CALL if granularity == "subcarrier" else 1
     out = np.zeros((len(p_ts), len(snr_db), len(grids), hi - lo), dtype=np.int64)
     for pt_i, p_t in enumerate(p_ts):
-        for trial in range(lo, hi):
-            rng = np.random.default_rng(np.random.SeedSequence((seed, pt_i, trial)))
-            real = draw_realization(chan, n_f, n_t, rng, n_fft=n_fft)
-            snrs = [snr_grid(real, noise_var) for noise_var in noise_vars]
-            out[pt_i, :, :, trial - lo] = sweep_total_bits(grids, snrs, p_t, granularity)
+        for first in range(lo, hi, batch):
+            trials = range(first, min(first + batch, hi))
+            snrs = []
+            for trial in trials:
+                rng = np.random.default_rng(np.random.SeedSequence((seed, pt_i, trial)))
+                real = draw_realization(chan, n_f, n_t, rng, n_fft=n_fft)
+                snrs += [snr_grid(real, noise_var) for noise_var in noise_vars]
+            bits = sweep_total_bits(grids, snrs, p_t, granularity)
+            bits = bits.reshape(len(trials), len(snr_db), len(grids))
+            out[pt_i, :, :, first - lo:first - lo + len(trials)] = bits.transpose(1, 2, 0)
     return out
 
 

@@ -13,7 +13,7 @@ Three solvers are provided:
   block_allocate       one scheme for the whole grid (coarse signalling mode)
 
 sweep_total_bits gives the greedy or block bit totals of every (SNR point,
-system) pair of one channel draw in one batched pass, for the sweep.
+system) pair of a few channel draws in one batched pass, for the sweep.
 
 Positions are ordered time-major, pos = l * n_f + k, and all tie-breaks are
 total orders, so every solver is deterministic.
@@ -55,11 +55,14 @@ _LEVEL_BITS = np.array([b for b, _rows in _LEVELS])
 #: Bit gains a single move can make, 1 .. the top level's bits.
 _GAINS = np.arange(1, _LEVEL_BITS[-1] + 1)
 
-#: _LEVEL_OF[b, g - 1] is the index of the level with b + g bits, or
-#: len(_LEVELS) when no level has that many (an all-inf candidate row).
-_LEVEL_OF = np.full(2 * _GAINS.size + 1, len(_LEVELS))
-_LEVEL_OF[_LEVEL_BITS] = np.arange(len(_LEVELS))
-_LEVEL_OF = _LEVEL_OF[np.arange(_GAINS.size + 1)[:, None] + _GAINS]
+#: _LEVEL_AT[b] is the index of the level with b bits, or len(_LEVELS) when
+#: no level has that many (an all-_NO_MOVE candidate row).
+_LEVEL_AT = np.full(_GAINS.size + 1, len(_LEVELS), dtype=np.int8)
+_LEVEL_AT[_LEVEL_BITS] = np.arange(len(_LEVELS))
+
+#: Cost of a move that does not exist.  It is finite, so the difference of
+#: two such entries is 0 and never inf - inf, and far above any bits x BER.
+_NO_MOVE = 2.0 ** 900
 
 _SILENT_ROWS = tuple(i for i, s in enumerate(CATALOG) if s.silent)
 
@@ -114,21 +117,24 @@ def _ber_table(gamma: np.ndarray) -> np.ndarray:
 
 def evaluate_avg_ber(schemes, snr: SnrGrid) -> float:
     """Bit-weighted mean instantaneous BER of an assignment:
-    sum(bits * ber) / sum(bits) over the non-silent positions."""
+    sum(bits * ber) / sum(bits) over the non-silent positions, with one ber
+    call per scheme over the gammas of its positions."""
     gamma = np.asarray(snr.gamma, dtype=float)
     n_f, n_t = gamma.shape
     if len(schemes) != n_f or any(len(row) != n_t for row in schemes):
         raise ValueError("scheme grid shape does not match the SNR grid")
-    weighted = np.zeros(n_f * n_t)
-    total_bits = 0
+    positions = {}
     for k, row in enumerate(schemes):
         for l, s in enumerate(row):
-            if s.silent:
-                continue
-            weighted[l * n_f + k] = s.bits * ber(s, float(gamma[k, l]))
-            total_bits += s.bits
-    if total_bits == 0:
+            if not s.silent:
+                positions.setdefault(s, []).append(l * n_f + k)
+    if not positions:
         return 0.0
+    flat = _flat_gamma(snr)
+    weighted = np.zeros(n_f * n_t)
+    for s, at in positions.items():
+        weighted[at] = s.bits * ber(s, flat[at])
+    total_bits = sum(s.bits * len(at) for s, at in positions.items())
     return float(np.sum(weighted) / total_bits)
 
 
@@ -269,20 +275,19 @@ def _dense_candidates(mask, cost):
 
     mask and cost are (..., n_schemes, N) and broadcast against each other.
     Returns the cheapest allowed scheme per (grid, bits level, position) and
-    its cost, inf where the level has no allowed scheme.  The last level is
-    an all-inf sentinel that _LEVEL_OF gives for bit counts no level has.
+    its cost, _NO_MOVE where the level has no allowed scheme.  The last level
+    is an all-_NO_MOVE sentinel that _LEVEL_AT gives for bit counts no level
+    has; its scheme is left for the caller.
     """
     lead = np.broadcast_shapes(mask.shape[:-2], cost.shape[:-2])
     shape = lead + (len(_LEVELS) + 1, mask.shape[-1])
     cand_idx = np.zeros(shape, dtype=np.int8)
-    cand_cost = np.full(shape, np.inf)
+    cand_cost = np.full(shape, _NO_MOVE)
     for lvl, (_bits, rows) in enumerate(_LEVELS):
-        rows = list(rows)
-        level_cost = np.where(mask[..., rows, :], cost[..., rows, :], np.inf)
-        pick = np.argmin(level_cost, axis=-2)
-        cand_cost[..., lvl, :] = np.take_along_axis(
-            level_cost, pick[..., None, :], axis=-2)[..., 0, :]
-        cand_idx[..., lvl, :] = np.asarray(rows, dtype=np.int8)[pick]
+        rows = np.asarray(rows, dtype=np.int8)
+        level_cost = np.where(mask[..., rows, :], cost[..., rows, :], _NO_MOVE)
+        cand_cost[..., lvl, :] = level_cost.min(axis=-2)
+        cand_idx[..., lvl, :] = rows[level_cost.argmin(axis=-2)]
     return cand_idx, cand_cost
 
 
@@ -291,40 +296,63 @@ def _greedy_lockstep(mask, cost, p_t):
 
     mask and cost are (..., n_schemes, N) and broadcast against each other;
     each leading index is one grid, and the results keep the leading shape.
-    Every grid still in play commits its next move in the same iteration,
-    and the same full-recompute guard vets it: a row-wise sum over a
-    C-contiguous array is bit-identical to the 1-D np.sum.  So each grid
+    Every grid still in play advances in the same iteration, and each grid
     ends bit-identical to its serial run.  A grid leaves the batch when it
-    has no feasible move, so the iteration count is the longest grid's
-    commit count, not the sum over grids.
+    has no feasible move.
 
     Moves are scored per gain class: by_gain[row, g - 1, p] is the cost of
-    the move at p that gains g bits (inf if no level has that many bits or
-    the guard rejected it), refreshed only where a move was tried.  The
+    the move at p that gains g bits (_NO_MOVE if no level has that many bits
+    or the guard rejected it).  A committed move of g bits shifts its
+    position's classes down by g, and a rejected one marks its entry.  The
     numerators (S + cost) - cur_cost are _greedy_core's; division by the
     positive W + g is monotone under correct rounding, so a class has a
     feasible move iff its smallest numerator does.  The greatest feasible
-    class wins, and argmin over its averages picks the lowest average,
-    then the first position.
+    class g wins.
+
+    A grid then commits, in one step, the J moves of class g with the
+    smallest keys k = cost - cur_cost, when a filter with the margin
+    delta = 8 n 2^-53 (p_t (W + g n) + 2 max cost) proves that the serial
+    loop would commit exactly those J moves next, in some order.  delta
+    bounds every rounding the serial loop makes over up to n moves.  With
+    the keys sorted and E_j = k_1 + ... + k_j - p_t g j, the filter asks:
+      (a) each prefix j <= J keeps the average delta inside the target,
+          S + E_j - p_t W <= -delta, so the serial screen and the guard
+          pass every move;
+      (b) k_(J+1) > k_J + delta, so no other class-g move comes first;
+      (c) at every state j < J, each class h > g stays delta short of
+          feasible: S + E_j + k - p_t (W + h) > delta for the smallest
+          class-h key k now, taken over every position.
+    A member's moves after its own move need no test of their own: its
+    class-h key is then its class-(g + h) key now less its own key, and (a)
+    and (c) on that class-(g + h) key keep its class-g key above k_J and
+    its higher classes infeasible.  The new state's full row sum does not
+    depend on the order of the moves, so S after the step is the serial
+    loop's last full recompute.  A grid for which no J >= 1 passes takes
+    the single argmin move under the full-recompute guard: a row-wise sum
+    over a C-contiguous array is bit-identical to the 1-D np.sum.  The
+    scheme of every position is read from its final bit count.
     """
-    cand_idx, cand_cost = _dense_candidates(mask, cost)
-    lead, (levels, n) = cand_cost.shape[:-2], cand_cost.shape[-2:]
+    cand_idx, by_gain = _dense_candidates(mask, cost)
+    lead, (levels, n) = cand_idx.shape[:-2], cand_idx.shape[-2:]
     r = math.prod(lead)
-    cand_idx, cand_cost = cand_idx.reshape(r, levels, n), cand_cost.reshape(r, levels, n)
+    cand_idx = cand_idx.reshape(r, levels, n)
+    by_gain = by_gain.reshape(r, levels, n).take(_LEVEL_AT[_GAINS], axis=1)
     silent = np.stack([_initial_silent(m) for m in mask.reshape((-1,) + mask.shape[-2:])])
     silent = silent.reshape(mask.shape[:-2] + (n,))
-    out_idx = np.broadcast_to(silent, lead + (n,)).reshape(r, n).astype(np.int8)
+    cand_idx[:, -1] = np.broadcast_to(silent, lead + (n,)).reshape(r, n)
+    two_cmax = 2.0 * np.broadcast_to(cost.max(axis=(-2, -1)), lead).reshape(r)
+    out_idx = np.empty((r, n), dtype=np.int8)
     out_s = np.zeros(r)
     out_w = np.zeros(r, dtype=np.int64)
     rows = np.arange(r)
     cur_bits = np.zeros((r, n), dtype=np.int8)
     cur_cost = np.zeros((r, n))
     s_sum, w_sum = np.zeros(r), np.zeros(r, dtype=np.int32)
-    by_gain = cand_cost.take(_LEVEL_OF[0], axis=1)
     num_buf = np.empty_like(by_gain)
-    # each step of a grid commits a move (at most _GAINS.size * n, as each
-    # adds bits), rejects a candidate for good (at most (levels - 1) * n) or
-    # finds no move, which ends the grid
+    pos = np.arange(n)
+    # each step of a grid commits at least one move (at most _GAINS.size * n
+    # in all, as each adds bits), rejects a candidate for good (at most
+    # (levels - 1) * n) or finds no move, which ends the grid
     steps_left = n * (_GAINS.size + levels)
     while rows.size:
         steps_left -= 1
@@ -334,46 +362,113 @@ def _greedy_lockstep(mask, cost, p_t):
         np.add(by_gain, s_sum[:, None, None], out=num)
         num -= cur_cost[:, None, :]
         w_new = w_sum[:, None] + _GAINS
-        feasible = num.min(axis=2) / w_new <= p_t
+        low = num.min(axis=2)
+        feasible = low / w_new <= p_t
         gi = _GAINS.size - 1 - np.argmax(feasible[:, ::-1], axis=1)
         at = np.arange(rows.size)
         avg_new = num[at, gi]
         avg_new /= w_new[at, gi][:, None]
         p = np.argmin(avg_new, axis=1)
+        bg = by_gain[at, gi]
+        order, n_set = _set_size(bg, cur_cost, low, s_sum, w_sum, gi, p_t, two_cmax[rows])
         live = feasible.any(axis=1)
         if not live.all():
             # a grid without a feasible move is final; drop it from the batch
-            out_s[rows[~live]], out_w[rows[~live]] = s_sum[~live], w_sum[~live]
-            rows, s_sum, w_sum, gi, p = (a[live] for a in (rows, s_sum, w_sum, gi, p))
-            cur_bits, cur_cost, by_gain = (a[live] for a in (cur_bits, cur_cost, by_gain))
-            at = np.arange(rows.size)
-        old_bits, old_cost = cur_bits[at, p], cur_cost[at, p]
-        lvl = _LEVEL_OF[old_bits, gi]
-        cur_bits[at, p] = old_bits + (gi + 1)
-        cur_cost[at, p] = by_gain[at, gi, p]
-        s_full = cur_cost.sum(axis=1)
-        w_full = cur_bits.sum(axis=1, dtype=np.int32)
-        good = s_full / w_full <= p_t
-        if not good.all():
-            # the incremental screen was optimistic by rounding; drop the move
-            bad = ~good
-            cur_bits[at[bad], p[bad]] = old_bits[bad]
-            cur_cost[at[bad], p[bad]] = old_cost[bad]
-            cand_cost[rows[bad], lvl[bad], p[bad]] = np.inf
-        by_gain[at, :, p] = cand_cost[rows[:, None], _LEVEL_OF[cur_bits[at, p]], p[:, None]]
+            done = ~live
+            out_s[rows[done]], out_w[rows[done]] = s_sum[done], w_sum[done]
+            out_idx[rows[done]] = cand_idx[rows[done, None], _LEVEL_AT[cur_bits[done]], pos]
+            rows, s_sum, w_sum, gi, p, bg, order, n_set = (
+                a[live] for a in (rows, s_sum, w_sum, gi, p, bg, order, n_set))
+            cur_bits, cur_cost = cur_bits[live], cur_cost[live]
+            # the spent numerator buffer takes the table's live rows; mode
+            # "clip" writes straight into it, and every index is valid
+            by_gain, num_buf = by_gain.take(np.flatnonzero(live), axis=0, mode="clip",
+                                            out=num_buf[: rows.size]), by_gain
+
+        good, s_full, w_full = _commit(cur_bits, cur_cost, by_gain, bg, gi, order, n_set, p, p_t)
         s_sum[good], w_sum[good] = s_full[good], w_full[good]
-        out_idx[rows[good], p[good]] = cand_idx[rows[good], lvl[good], p[good]]
     return out_idx.reshape(lead + (n,)), out_s.reshape(lead), out_w.reshape(lead)
 
 
+def _set_size(bg, cur_cost, low, s_sum, w_sum, gi, p_t, two_cmax):
+    """The set step's filter (see _greedy_lockstep) for a batch of grids.
+
+    bg is the cost of each class-g move, low the step's smallest numerator
+    per class, two_cmax twice the largest cost of the grid.  Returns the
+    positions in ascending order of their class-g keys and the number J of
+    them that the serial loop provably commits next, 0 where the filter
+    cannot decide.
+    """
+    rows, n = bg.shape
+    g = gi + 1
+    steps = np.arange(1, n + 1)
+    ks = bg - cur_cost
+    order = np.argsort(ks, axis=1)
+    offset = (np.arange(rows) * n)[:, None]
+    order += offset
+    ks = ks.take(order)
+    order -= offset
+    delta = 8 * n * 2.0 ** -53 * (p_t * (w_sum + g * n) + two_cmax)
+    room = p_t * w_sum - s_sum
+    # smallest key less p_t h of any class h above g, over every position
+    above = np.where(_GAINS > g[:, None], low - p_t * _GAINS, _NO_MOVE).min(axis=1) - s_sum
+    gap = ks[:, 1:] > ks[:, :-1] + delta[:, None]
+    e = np.cumsum(ks, axis=1, out=ks)
+    e -= (p_t * g)[:, None] * steps
+    ok = e <= (room - delta)[:, None]                                   # (a)
+    ok &= (above > room + delta)[:, None]                               # (c), state 0
+    ok[:, 1:] &= e[:, :-1] > (room + delta - above)[:, None]            # (c), states 1 .. J - 1
+    ok = np.logical_and.accumulate(ok, axis=1, out=ok)
+    ok[:, :-1] &= gap                                                   # (b)
+    return order, (ok * steps).max(axis=1)
+
+
+def _commit(cur_bits, cur_cost, by_gain, bg, gi, order, n_set, p, p_t):
+    """Commit, in place, the first n_set[row] positions of order in each
+    grid, or its single argmin move p where n_set is 0, each gaining gi + 1
+    bits at cost bg.  The guard rejects a single move whose full recompute
+    exceeds p_t; a set cannot fail it.  Returns (committed, S, W) per grid.
+    """
+    single = n_set == 0
+    ti, rank = np.nonzero(np.arange(order.shape[1]) < np.maximum(n_set, 1)[:, None])
+    tp = order[ti, rank]
+    tp[single[ti]] = p[single]
+    tg = gi[ti]
+    old_bits, old_cost = cur_bits[ti, tp], cur_cost[ti, tp]
+    cur_bits[ti, tp] = old_bits + (tg + 1)
+    cur_cost[ti, tp] = bg[ti, tp]
+    s_full = cur_cost.sum(axis=1)
+    w_full = cur_bits.sum(axis=1, dtype=np.int32)
+    good = s_full / w_full <= p_t
+    if not good.all():
+        # the incremental screen was optimistic by rounding; drop the move
+        bad = ~good
+        if not single[bad].all():
+            raise RuntimeError("lockstep greedy set step failed the guard")
+        rej = bad[ti]
+        cur_bits[ti[rej], tp[rej]] = old_bits[rej]
+        cur_cost[ti[rej], tp[rej]] = old_cost[rej]
+        by_gain[ti[rej], tg[rej], tp[rej]] = _NO_MOVE
+        ti, tp, tg = ti[~rej], tp[~rej], tg[~rej]
+    # a move of g bits shifts its position's gain classes down by g
+    for g in np.unique(tg) + 1:
+        moved = tg == g - 1
+        t, q = ti[moved], tp[moved]
+        by_gain[t, :-g, q] = by_gain[t, g:, q]
+        by_gain[t, -g:, q] = _NO_MOVE
+    return good, s_full, w_full
+
+
 def sweep_total_bits(grids, snrs, p_t: float, granularity: str) -> np.ndarray:
-    """Bit totals of every (SNR grid, constraint grid) pair of one draw.
+    """Bit totals of every (SNR grid, constraint grid) pair.
 
     Returns int64 (len(snrs), len(grids)): the total_bits greedy_allocate
     ("subcarrier" granularity) or block_allocate ("block") would give for
-    each pair.  One ber call per scheme covers every SNR grid, and one
-    batched call of either loader core scores every pair.  The SNR grids
-    must share the constraint grids' shape, and p_t must lie in (0, 0.5).
+    each pair.  The SNR grids may come from one channel draw or several;
+    each row depends only on its own SNR grid.  One ber call per scheme
+    covers every SNR grid, and one batched call of either loader core
+    scores every pair.  The SNR grids must share the constraint grids'
+    shape, and p_t must lie in (0, 0.5).
     """
     masks = np.stack([flat_mask(g) for g in grids])
     cost = _ber_table(np.stack([_flat_gamma(s) for s in snrs]))

@@ -95,6 +95,21 @@ def test_realization_matches_explicit_construction():
         np.testing.assert_allclose(r.gains[:, l], expect, rtol=1e-12)
 
 
+def test_draw_taps_with_shape_matches_inline_draw():
+    """draw_taps(p, rng, (n_t,)) is the (n_t, n_taps) draw that
+    draw_realization made inline before, byte for byte."""
+    p = tux_profile()
+    scale = np.sqrt(np.asarray(p.powers) / 2.0)
+    for seed in range(50):
+        rng = np.random.default_rng(seed)
+        inline = scale * (rng.standard_normal((7, 9)) + 1j * rng.standard_normal((7, 9)))
+        assert draw_taps(p, np.random.default_rng(seed), (7,)).tobytes() == inline.tobytes()
+        gains = freq_response(inline.T, p.delays, 128, np.arange(12))
+        real = draw_realization(p, 12, 7, np.random.default_rng(seed))
+        assert real.gains.tobytes() == gains.tobytes()
+    assert draw_taps(p, np.random.default_rng(0)).shape == (9,)
+
+
 def test_unit_mean_gain_power():
     p = tux_profile()
     rng = np.random.default_rng(2024)

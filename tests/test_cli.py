@@ -148,6 +148,19 @@ class TestRunSweep:
         many = run_sweep(small_config(workers=4))
         assert one == many
 
+    @pytest.mark.parametrize("granularity", ["subcarrier", "block"])
+    def test_csv_does_not_depend_on_draw_batches(self, granularity):
+        # 5 trials split over 1, 2 and 3 workers give different partial
+        # batches of draws per loader call
+        csvs = []
+        for workers in (1, 2, 3):
+            buf = io.StringIO()
+            write_csv(run_sweep(small_config(systems=("fb", "cm", "lte", "mlte"),
+                                             p_t=(1e-3, 1e-2), trials=5, workers=workers,
+                                             granularity=granularity)), buf)
+            csvs.append(buf.getvalue())
+        assert csvs[0] == csvs[1] == csvs[2]
+
     def test_single_trial_has_no_interval(self):
         points = run_sweep(small_config(trials=1, snr_db=(20.0,)))
         assert math.isnan(points[0].ci95)

@@ -16,6 +16,7 @@ from ofdmse.loading import (
     block_allocate,
     evaluate_avg_ber,
     exhaustive_allocate,
+    flat_mask,
     greedy_allocate,
     load_instance,
     position_ber_table,
@@ -286,21 +287,45 @@ GUARD_GAMMAS = [229.771, 5.22527, 426.042, 1.49866, 10.1942, 2.82383, 22.4398,
 GUARD_P_T = 0.0005996757725321551
 
 
+#: catalog rows grouped by bits per symbol, silent rows left out
+BIT_LEVELS = [[i for i, s in enumerate(CATALOG) if s.bits == b] for b in (1, 2, 3, 4, 6)]
+
+
 @st.composite
 def lockstep_batches(draw):
-    """Several grids of random masks (a silent scheme kept at every
-    position) and log-spread gammas, so grids finish at different steps.
+    """Several grids of masks (a silent scheme kept at every position) and
+    log-spread gammas, so grids finish at different steps.
 
-    Sometimes positions repeat the mask and gamma of one of the first three,
-    so equal resulting averages leave the choice to the first-position rule.
+    "random" draws every mask entry, and sometimes repeats the mask and
+    gamma of one of the first three positions, so equal resulting averages
+    leave the choice to the first-position rule.  "long_runs" gives every
+    position of a grid one mask and a high gamma, so one gain class loads
+    many positions in a row.  "ulp_chain" gives the positions of a grid one
+    mask and gammas a few ulps apart in shuffled order, so keys differ in
+    their last bits or not at all.  "cross_family" allows one random family
+    per bit level at each position, so the next level's only scheme may
+    come from a cheaper or a costlier family.
     """
+    kind = draw(st.sampled_from(["random", "long_runs", "ulp_chain", "cross_family"]))
     rows = draw(st.integers(1, 6))
-    n = draw(st.integers(1, 12))
-    mask = draw(arrays(bool, (rows, N_SCHEMES, n)))
+    n = draw(st.integers(12, 40) if kind == "long_runs" else st.integers(1, 16))
+    mask = draw(arrays(bool, (rows, N_SCHEMES, 1 if kind in ("long_runs", "ulp_chain") else n)))
+    if kind == "cross_family":
+        mask[:] = False
+        for level in BIT_LEVELS:
+            pick = draw(arrays(np.int64, (rows, 1, n), elements=st.sampled_from(level + [-1])))
+            np.put_along_axis(mask, np.where(pick < 0, SILENT_ROWS[0], pick), pick >= 0, axis=1)
+    mask = np.repeat(mask, n // mask.shape[2], axis=2)
     keep = draw(arrays(np.int64, (rows, 1, n), elements=st.sampled_from(SILENT_ROWS)))
     np.put_along_axis(mask, keep, True, axis=1)
-    exponents = draw(arrays(float, (rows, n), elements=st.floats(-1.0, 4.5)))
-    if draw(st.booleans()):
+    low = 1.5 if kind == "long_runs" else -1.0
+    exponents = draw(arrays(float, (rows, n), elements=st.floats(low, 4.5)))
+    if kind == "ulp_chain":
+        ulps = draw(arrays(np.int64, (rows, n), elements=st.integers(0, 2)))
+        start = (10.0 ** exponents[:, :1]).view(np.int64)
+        gamma = (start + np.cumsum(ulps, axis=1)).view(float)
+        return mask, gamma[:, draw(st.permutations(range(n)))]
+    if kind == "random" and draw(st.booleans()):
         src = draw(arrays(np.int64, (rows, n), elements=st.integers(0, min(n, 3) - 1)))
         mask = np.take_along_axis(mask, src[:, None, :], axis=2)
         exponents = np.take_along_axis(exponents, src, axis=1)
@@ -317,11 +342,30 @@ def assert_lockstep_matches_core(mask, gamma, p_t):
         assert w_sum[r] == ref_w
 
 
+def sweep_draws(trials):
+    """SNR grids of the default sweep's channel draws, one list per trial."""
+    draws = []
+    for trial in range(trials):
+        rng = np.random.default_rng(np.random.SeedSequence((0, 0, trial)))
+        real = draw_realization(tux_profile(), 12, 7, rng)
+        draws.append([snr_grid(real, 10 ** (-db / 10)) for db in range(0, 41, 2)])
+    return draws
+
+
 class TestLockstep:
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(batch=lockstep_batches(), p_t=st.floats(1e-5, 0.3))
     def test_matches_serial_core_row_by_row(self, batch, p_t):
         assert_lockstep_matches_core(*batch, p_t)
+
+    @pytest.mark.parametrize("p_t", [1e-3, 1e-2])
+    def test_matches_serial_core_on_sweep_draws(self, p_t):
+        masks = np.stack([flat_mask(build_profile(n).grid) for n in ("fb", "cm", "lte", "mlte")])
+        for snrs in sweep_draws(2):
+            gamma = np.stack([np.ascontiguousarray(s.gamma.T).ravel() for s in snrs])
+            for m in masks:
+                assert_lockstep_matches_core(np.broadcast_to(m, (len(gamma),) + m.shape),
+                                             gamma, p_t)
 
     def test_matches_serial_core_through_rounding_guard(self):
         gamma = np.array(GUARD_GAMMAS)
@@ -329,6 +373,15 @@ class TestLockstep:
         mask = np.ones((4, N_SCHEMES, gamma.size), dtype=bool)
         mask[1, 9:] = False  # no QAM on the second grid
         assert_lockstep_matches_core(mask, rows, GUARD_P_T)
+
+    @pytest.mark.parametrize("granularity", ["subcarrier", "block"])
+    def test_sweep_totals_do_not_depend_on_batch(self, granularity):
+        grids = [build_profile(n).grid for n in ("fb", "cm", "lte", "mlte")]
+        draws = sweep_draws(3)
+        for p_t in (1e-3, 1e-2):
+            one_call = sweep_total_bits(grids, [s for d in draws for s in d], p_t, granularity)
+            per_draw = [sweep_total_bits(grids, d, p_t, granularity) for d in draws]
+            np.testing.assert_array_equal(one_call, np.concatenate(per_draw))
 
     @pytest.mark.parametrize("granularity,allocate", [
         ("subcarrier", greedy_allocate), ("block", block_allocate)])
@@ -365,10 +418,6 @@ def block_core_one_scheme_at_a_time(mask, cost, p_t):
     if best_idx is None:
         return silent, 0.0, 0
     return np.where(mask[best_idx], best_idx, silent), best_s, best_w
-
-
-#: catalog rows grouped by bits per symbol, silent rows left out
-BIT_LEVELS = [[i for i, s in enumerate(CATALOG) if s.bits == b] for b in (1, 2, 3, 4)]
 
 
 @st.composite
@@ -465,6 +514,45 @@ class TestInstanceFixtures:
         assert [[str(s) for s in row] for row in alloc.schemes] == expected["schemes"]
         assert alloc.total_bits == expected["total_bits"]
         assert repr(alloc.avg_ber) == expected["avg_ber"]
+
+
+def evaluate_avg_ber_one_position_at_a_time(schemes, snr):
+    """evaluate_avg_ber before it grouped positions by scheme: one scalar
+    ber call per position."""
+    gamma = np.asarray(snr.gamma, dtype=float)
+    n_f, n_t = gamma.shape
+    weighted = np.zeros(n_f * n_t)
+    total_bits = 0
+    for k, row in enumerate(schemes):
+        for l, s in enumerate(row):
+            if s.silent:
+                continue
+            weighted[l * n_f + k] = s.bits * ber(s, float(gamma[k, l]))
+            total_bits += s.bits
+    if total_bits == 0:
+        return 0.0
+    return float(np.sum(weighted) / total_bits)
+
+
+class TestEvaluateAvgBerPerScheme:
+    """evaluate_avg_ber gives the per-position loop's float, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(INSTANCE_EXPECTED))
+    def test_instance_allocations(self, name):
+        snr, grid, p_t = load_instance(INSTANCES / name)
+        for allocate in (greedy_allocate, block_allocate):
+            schemes = allocate(snr, grid, p_t).schemes
+            assert (evaluate_avg_ber(schemes, snr).hex()
+                    == evaluate_avg_ber_one_position_at_a_time(schemes, snr).hex())
+
+    def test_random_assignments(self):
+        rng = np.random.default_rng(81)
+        for _ in range(40):
+            snr = random_instance(rng, 12, 7, snr_db=rng.uniform(0.0, 40.0))
+            idx = rng.integers(0, N_SCHEMES, (12, 7))
+            schemes = tuple(tuple(CATALOG[i] for i in row) for row in idx)
+            assert (evaluate_avg_ber(schemes, snr).hex()
+                    == evaluate_avg_ber_one_position_at_a_time(schemes, snr).hex())
 
 
 @settings(max_examples=25, deadline=None)
