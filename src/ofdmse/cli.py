@@ -78,6 +78,12 @@ class SweepConfig:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
+        if isinstance(self.systems, str):
+            raise TypeError(f"systems must be a sequence of names, got {self.systems!r}")
+        for name in ("snr_db", "p_t"):
+            for value in getattr(self, name):
+                if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                    raise TypeError(f"{name} entries must be real numbers, got {value!r}")
         if not self.systems:
             raise ValueError("at least one system is required")
         for name in self.systems:

@@ -14,6 +14,8 @@ Three solvers are provided:
 
 sweep_total_bits gives the greedy or block bit totals of every (SNR point,
 system) pair of a few channel draws in one batched pass, for the sweep.
+There is one greedy core, _greedy_lockstep: the sweep runs it on a batch of
+grids, and greedy_allocate is the same core at batch 1.
 
 Positions are ordered time-major, pos = l * n_f + k, and all tie-breaks are
 total orders, so every solver is deterministic.
@@ -144,27 +146,6 @@ def flat_mask(constraints: ConstraintGrid) -> np.ndarray:
     return mask.transpose(0, 2, 1).reshape(N_SCHEMES, -1)
 
 
-def _candidate_moves(mask, cost):
-    """Prune the move set to one candidate per (position, bits level).
-
-    For equal bits at one position only the cheapest scheme can ever win
-    (ties go to the lowest family, matching np.argmin's first-hit rule on
-    family-ascending rows), so the rest are dropped up front.
-    """
-    n = mask.shape[1]
-    pos_parts, idx_parts = [], []
-    for _bits, rows in _LEVELS:
-        rows = list(rows)
-        level_cost = np.where(mask[rows], cost[rows], np.inf)
-        pick = np.argmin(level_cost, axis=0)
-        have = np.isfinite(level_cost[pick, np.arange(n)])
-        pos_parts.append(np.nonzero(have)[0])
-        idx_parts.append(np.asarray(rows)[pick[have]])
-    pos = np.concatenate(pos_parts)
-    idx = np.concatenate(idx_parts)
-    return pos, idx, CATALOG_BITS[idx], cost[idx, pos]
-
-
 def _initial_silent(mask) -> np.ndarray:
     init = np.full(mask.shape[1], -1)
     for row in reversed(_SILENT_ROWS):
@@ -172,56 +153,6 @@ def _initial_silent(mask) -> np.ndarray:
     if np.any(init < 0):
         raise ValueError("a position has no order-1 scheme to fall back to")
     return init
-
-
-def _greedy_core(mask, cost, p_t):
-    """Run the incremental loop; returns (scheme index per position, S, W).
-
-    S is the running sum of bits * ber over positions (recomputed in full
-    after every commit so it cannot drift from evaluate_avg_ber), W the
-    running bit total.
-    """
-    cand_pos, cand_idx, cand_bits, cand_cost = _candidate_moves(mask, cost)
-    cur_idx = _initial_silent(mask)
-    n = mask.shape[1]
-    cur_bits = np.zeros(n, dtype=np.int64)
-    cur_cost = np.zeros(n)
-    alive = np.ones(cand_pos.size, dtype=bool)
-    s_sum, w_sum = 0.0, 0
-    while True:
-        cur_b = cur_bits[cand_pos]
-        up = alive & (cand_bits > cur_b)
-        sel = np.nonzero(up)[0]
-        if sel.size == 0:
-            break
-        w_new = w_sum + (cand_bits[sel] - cur_b[sel])
-        avg_new = (s_sum + cand_cost[sel] - cur_cost[cand_pos[sel]]) / w_new
-        feas = avg_new <= p_t
-        sel, avg_new = sel[feas], avg_new[feas]
-        if sel.size == 0:
-            break
-        # greatest bit gain, then lowest resulting average, then first position;
-        # the per-level pruning already settled family ties
-        gain = cand_bits[sel] - cur_bits[cand_pos[sel]]
-        top = gain == gain.max()
-        sel, avg_new = sel[top], avg_new[top]
-        best = avg_new == avg_new.min()
-        sel = sel[best]
-        j = sel[np.argmin(cand_pos[sel])]
-        p = cand_pos[j]
-        old = cur_idx[p], cur_bits[p], cur_cost[p]
-        cur_idx[p] = cand_idx[j]
-        cur_bits[p] = cand_bits[j]
-        cur_cost[p] = cand_cost[j]
-        s_full = float(np.sum(cur_cost))
-        w_full = int(cur_bits.sum())
-        if s_full / w_full > p_t:
-            # the incremental screen was optimistic by rounding; drop the move
-            cur_idx[p], cur_bits[p], cur_cost[p] = old
-            alive[j] = False
-            continue
-        s_sum, w_sum = s_full, w_full
-    return cur_idx, s_sum, w_sum
 
 
 def _to_allocation(idx_flat, n_f, n_t, s_sum, w_sum) -> Allocation:
@@ -266,12 +197,15 @@ def greedy_allocate(
     ``ber_table`` may carry a precomputed position_ber_table(snr).
     """
     mask, cost = _one_grid(snr, constraints, p_t, ber_table)
-    idx, s_sum, w_sum = _greedy_core(mask, cost, p_t)
+    idx, s_sum, w_sum = _greedy_lockstep(mask, cost, p_t)
     return _to_allocation(idx, constraints.n_f, constraints.n_t, s_sum, w_sum)
 
 
 def _dense_candidates(mask, cost):
-    """_candidate_moves for a batch of grids, as dense (..., levels + 1, N) arrays.
+    """The greedy's moves, one per (grid, bits level, position), as dense
+    (..., levels + 1, N) arrays; the reference serial loop in
+    tests/test_loading.py prunes its move set the same way, one grid at a
+    time.
 
     mask and cost are (..., n_schemes, N) and broadcast against each other.
     Returns the cheapest allowed scheme per (grid, bits level, position) and
@@ -292,19 +226,21 @@ def _dense_candidates(mask, cost):
 
 
 def _greedy_lockstep(mask, cost, p_t):
-    """_greedy_core over many grids at once; returns (idx, S, W) per grid.
+    """The greedy loader over many grids at once; returns (idx, S, W) per grid.
 
     mask and cost are (..., n_schemes, N) and broadcast against each other;
-    each leading index is one grid, and the results keep the leading shape.
-    Every grid still in play advances in the same iteration, and each grid
-    ends bit-identical to its serial run.  A grid leaves the batch when it
+    each leading index is one grid, and the results keep the leading shape
+    (greedy_allocate calls it on one grid, with no leading axes).  Every grid
+    still in play advances in the same iteration, and each grid ends
+    bit-identical to the reference serial loop in tests/test_loading.py,
+    which commits one move per iteration.  A grid leaves the batch when it
     has no feasible move.
 
     Moves are scored per gain class: by_gain[row, g - 1, p] is the cost of
     the move at p that gains g bits (_NO_MOVE if no level has that many bits
     or the guard rejected it).  A committed move of g bits shifts its
     position's classes down by g, and a rejected one marks its entry.  The
-    numerators (S + cost) - cur_cost are _greedy_core's; division by the
+    numerators (S + cost) - cur_cost are the serial loop's; division by the
     positive W + g is monotone under correct rounding, so a class has a
     feasible move iff its smallest numerator does.  The greatest feasible
     class g wins.
@@ -365,11 +301,7 @@ def _greedy_lockstep(mask, cost, p_t):
         low = num.min(axis=2)
         feasible = low / w_new <= p_t
         gi = _GAINS.size - 1 - np.argmax(feasible[:, ::-1], axis=1)
-        at = np.arange(rows.size)
-        avg_new = num[at, gi]
-        avg_new /= w_new[at, gi][:, None]
-        p = np.argmin(avg_new, axis=1)
-        bg = by_gain[at, gi]
+        bg = by_gain[np.arange(rows.size), gi]
         order, n_set = _set_size(bg, cur_cost, low, s_sum, w_sum, gi, p_t, two_cmax[rows])
         live = feasible.any(axis=1)
         if not live.all():
@@ -377,15 +309,23 @@ def _greedy_lockstep(mask, cost, p_t):
             done = ~live
             out_s[rows[done]], out_w[rows[done]] = s_sum[done], w_sum[done]
             out_idx[rows[done]] = cand_idx[rows[done, None], _LEVEL_AT[cur_bits[done]], pos]
-            rows, s_sum, w_sum, gi, p, bg, order, n_set = (
-                a[live] for a in (rows, s_sum, w_sum, gi, p, bg, order, n_set))
+            rows, s_sum, w_sum, gi, bg, order, n_set = (
+                a[live] for a in (rows, s_sum, w_sum, gi, bg, order, n_set))
             cur_bits, cur_cost = cur_bits[live], cur_cost[live]
             # the spent numerator buffer takes the table's live rows; mode
             # "clip" writes straight into it, and every index is valid
             by_gain, num_buf = by_gain.take(np.flatnonzero(live), axis=0, mode="clip",
                                             out=num_buf[: rows.size]), by_gain
+        single = n_set == 0
+        if single.any():
+            # no set passed the filter: the single move is the position of
+            # least resulting average in class g, first position on ties
+            avg_new = bg[single] + s_sum[single, None]
+            avg_new -= cur_cost[single]
+            avg_new /= (w_sum[single] + gi[single] + 1)[:, None]
+            order[single, 0] = np.argmin(avg_new, axis=1)
 
-        good, s_full, w_full = _commit(cur_bits, cur_cost, by_gain, bg, gi, order, n_set, p, p_t)
+        good, s_full, w_full = _commit(cur_bits, cur_cost, by_gain, bg, gi, order, n_set, p_t)
         s_sum[good], w_sum[good] = s_full[good], w_full[good]
     return out_idx.reshape(lead + (n,)), out_s.reshape(lead), out_w.reshape(lead)
 
@@ -423,16 +363,16 @@ def _set_size(bg, cur_cost, low, s_sum, w_sum, gi, p_t, two_cmax):
     return order, (ok * steps).max(axis=1)
 
 
-def _commit(cur_bits, cur_cost, by_gain, bg, gi, order, n_set, p, p_t):
+def _commit(cur_bits, cur_cost, by_gain, bg, gi, order, n_set, p_t):
     """Commit, in place, the first n_set[row] positions of order in each
-    grid, or its single argmin move p where n_set is 0, each gaining gi + 1
-    bits at cost bg.  The guard rejects a single move whose full recompute
-    exceeds p_t; a set cannot fail it.  Returns (committed, S, W) per grid.
+    grid, or only its first where n_set is 0 (a single move), each gaining
+    gi + 1 bits at cost bg.  The guard rejects a single move whose full
+    recompute exceeds p_t; a set cannot fail it.  Returns (committed, S, W)
+    per grid.
     """
     single = n_set == 0
     ti, rank = np.nonzero(np.arange(order.shape[1]) < np.maximum(n_set, 1)[:, None])
     tp = order[ti, rank]
-    tp[single[ti]] = p[single]
     tg = gi[ti]
     old_bits, old_cost = cur_bits[ti, tp], cur_cost[ti, tp]
     cur_bits[ti, tp] = old_bits + (tg + 1)

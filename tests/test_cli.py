@@ -107,9 +107,18 @@ class TestSweepConfig:
         with pytest.raises(TypeError, match=f"^{field} must be an integer"):
             SweepConfig(**{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("systems", "fb"), ("systems", ""),
+        ("p_t", ("0.01",)), ("p_t", (1e-3, True)), ("p_t", (None,)),
+        ("snr_db", ("a",)), ("snr_db", (10.0, False)), ("snr_db", (1j,))])
+    def test_sequence_fields_reject_other_types(self, field, value):
+        with pytest.raises(TypeError, match=f"^{field} "):
+            SweepConfig(**{field: value})
+
     def test_numpy_integers_accepted(self):
         cfg = small_config(trials=np.int64(3), seed=np.int32(3), workers=np.uint8(1),
-                           n_fft=np.int64(128), n_f=np.int16(12), n_t=np.int64(7))
+                           n_fft=np.int64(128), n_f=np.int16(12), n_t=np.int64(7),
+                           snr_db=(np.float64(10.0), np.int64(20)), p_t=(np.float64(1e-3),))
         assert cfg == small_config(trials=3)
         assert all(type(getattr(cfg, f)) is int
                    for f in ("trials", "seed", "workers", "n_fft", "n_f", "n_t"))

@@ -24,9 +24,9 @@ from ofdmse.loading import (
     sweep_total_bits,
 )
 from ofdmse.loading import (
+    _LEVELS,
     _ber_table,
     _block_core,
-    _greedy_core,
     _greedy_lockstep,
     _initial_silent,
 )
@@ -332,14 +332,93 @@ def lockstep_batches(draw):
     return mask, 10.0 ** exponents
 
 
+# The serial greedy loader, one grid and one commit per iteration, kept as
+# the reference that the lockstep core must match bit for bit.
+
+def _candidate_moves(mask, cost):
+    """Prune the move set to one candidate per (position, bits level).
+
+    For equal bits at one position only the cheapest scheme can ever win
+    (ties go to the lowest family, matching np.argmin's first-hit rule on
+    family-ascending rows), so the rest are dropped up front.
+    """
+    n = mask.shape[1]
+    pos_parts, idx_parts = [], []
+    for _bits, rows in _LEVELS:
+        rows = list(rows)
+        level_cost = np.where(mask[rows], cost[rows], np.inf)
+        pick = np.argmin(level_cost, axis=0)
+        have = np.isfinite(level_cost[pick, np.arange(n)])
+        pos_parts.append(np.nonzero(have)[0])
+        idx_parts.append(np.asarray(rows)[pick[have]])
+    pos = np.concatenate(pos_parts)
+    idx = np.concatenate(idx_parts)
+    return pos, idx, CATALOG_BITS[idx], cost[idx, pos]
+
+
+def _greedy_core(mask, cost, p_t):
+    """Run the incremental loop; returns (scheme index per position, S, W).
+
+    S is the running sum of bits * ber over positions (recomputed in full
+    after every commit so it cannot drift from evaluate_avg_ber), W the
+    running bit total.
+    """
+    cand_pos, cand_idx, cand_bits, cand_cost = _candidate_moves(mask, cost)
+    cur_idx = _initial_silent(mask)
+    n = mask.shape[1]
+    cur_bits = np.zeros(n, dtype=np.int64)
+    cur_cost = np.zeros(n)
+    alive = np.ones(cand_pos.size, dtype=bool)
+    s_sum, w_sum = 0.0, 0
+    while True:
+        cur_b = cur_bits[cand_pos]
+        up = alive & (cand_bits > cur_b)
+        sel = np.nonzero(up)[0]
+        if sel.size == 0:
+            break
+        w_new = w_sum + (cand_bits[sel] - cur_b[sel])
+        avg_new = (s_sum + cand_cost[sel] - cur_cost[cand_pos[sel]]) / w_new
+        feas = avg_new <= p_t
+        sel, avg_new = sel[feas], avg_new[feas]
+        if sel.size == 0:
+            break
+        # greatest bit gain, then lowest resulting average, then first position;
+        # the per-level pruning already settled family ties
+        gain = cand_bits[sel] - cur_bits[cand_pos[sel]]
+        top = gain == gain.max()
+        sel, avg_new = sel[top], avg_new[top]
+        best = avg_new == avg_new.min()
+        sel = sel[best]
+        j = sel[np.argmin(cand_pos[sel])]
+        p = cand_pos[j]
+        old = cur_idx[p], cur_bits[p], cur_cost[p]
+        cur_idx[p] = cand_idx[j]
+        cur_bits[p] = cand_bits[j]
+        cur_cost[p] = cand_cost[j]
+        s_full = float(np.sum(cur_cost))
+        w_full = int(cur_bits.sum())
+        if s_full / w_full > p_t:
+            # the incremental screen was optimistic by rounding; drop the move
+            cur_idx[p], cur_bits[p], cur_cost[p] = old
+            alive[j] = False
+            continue
+        s_sum, w_sum = s_full, w_full
+    return cur_idx, s_sum, w_sum
+
+
 def assert_lockstep_matches_core(mask, gamma, p_t):
+    """The lockstep core on the batch, and on each grid alone with no
+    leading axes as greedy_allocate calls it, matches the serial loop."""
     cost = CATALOG_BITS[:, None] * _ber_table(gamma)
     idx, s_sum, w_sum = _greedy_lockstep(mask, cost, p_t)
     for r in range(mask.shape[0]):
         ref_idx, ref_s, ref_w = _greedy_core(mask[r], cost[r], p_t)
-        np.testing.assert_array_equal(idx[r], ref_idx)
-        assert s_sum[r].hex() == float(ref_s).hex()
-        assert w_sum[r] == ref_w
+        one_idx, one_s, one_w = _greedy_lockstep(mask[r], cost[r], p_t)
+        assert one_idx.shape == ref_idx.shape and one_s.shape == one_w.shape == ()
+        for got_idx, got_s, got_w in ((idx[r], s_sum[r], w_sum[r]), (one_idx, one_s, one_w)):
+            np.testing.assert_array_equal(got_idx, ref_idx)
+            assert float(got_s).hex() == float(ref_s).hex()
+            assert got_w == ref_w
 
 
 def sweep_draws(trials):
