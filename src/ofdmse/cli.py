@@ -11,8 +11,11 @@ The `validate-ber` subcommand checks every analytic BER model against the
 symbol-level simulator over its whole usable range and fails loudly on
 disagreement; run it before trusting sweep output.
 
-Per-trial totals are deterministic functions of (seed, p_t index, trial), so
-any worker count produces byte-identical CSV.
+With --workers N the trials are split into N contiguous chunks: the parent
+loads the first, and a forked child loads each of the others and returns its
+array through a pipe; a failed child fails the sweep, and no child outlives
+it.  Per-trial totals are deterministic functions of (seed, p_t index,
+trial), so any worker count produces byte-identical CSV.
 """
 
 from __future__ import annotations
@@ -152,31 +155,81 @@ def _resolve_profiles(cfg: SweepConfig):
 DRAWS_PER_CALL = 2
 
 
-def _sweep_chunk(args):
-    """Per-trial bit totals for trials [lo, hi); runs in a worker process.
+def _sweep_chunk(cfg, chan, grids, lo, hi):
+    """Per-trial bit totals for trials [lo, hi), as (p_t, snr, system, trial).
 
-    Each sweep_total_bits call loads every SNR point and system of a few
-    channel draws, so memory does not grow with trials.  Each trial's draw
-    depends only on (seed, p_t index, trial), and the loader's totals do not
-    depend on which draws share a call, so the batching never shows in the
-    output.
+    The parent runs the first chunk of a sweep and forked children the rest
+    (see _fan_out).  Each sweep_total_bits call loads every SNR point and
+    system of a few channel draws, so memory does not grow with trials.
+    Each trial's draw depends only on (seed, p_t index, trial), and the
+    loader's totals do not depend on which draws share a call, so neither
+    the batching nor the split shows in the output.
     """
-    chan, grids, snr_db, p_ts, seed, n_f, n_t, n_fft, granularity, lo, hi = args
-    noise_vars = [_noise_var(s) for s in snr_db]
-    batch = DRAWS_PER_CALL if granularity == "subcarrier" else 1
-    out = np.zeros((len(p_ts), len(snr_db), len(grids), hi - lo), dtype=np.int64)
-    for pt_i, p_t in enumerate(p_ts):
+    noise_vars = [_noise_var(s) for s in cfg.snr_db]
+    batch = DRAWS_PER_CALL if cfg.granularity == "subcarrier" else 1
+    out = np.zeros((len(cfg.p_t), len(cfg.snr_db), len(grids), hi - lo), dtype=np.int64)
+    for pt_i, p_t in enumerate(cfg.p_t):
         for first in range(lo, hi, batch):
             trials = range(first, min(first + batch, hi))
             snrs = []
             for trial in trials:
-                rng = np.random.default_rng(np.random.SeedSequence((seed, pt_i, trial)))
-                real = draw_realization(chan, n_f, n_t, rng, n_fft=n_fft)
+                rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, pt_i, trial)))
+                real = draw_realization(chan, cfg.n_f, cfg.n_t, rng, n_fft=cfg.n_fft)
                 snrs += [snr_grid(real, noise_var) for noise_var in noise_vars]
-            bits = sweep_total_bits(grids, snrs, p_t, granularity)
-            bits = bits.reshape(len(trials), len(snr_db), len(grids))
+            bits = sweep_total_bits(grids, snrs, p_t, cfg.granularity)
+            bits = bits.reshape(len(trials), len(cfg.snr_db), len(grids))
             out[pt_i, :, :, first - lo:first - lo + len(trials)] = bits.transpose(1, 2, 0)
     return out
+
+
+def _chunk_child(conn, *task):
+    """Body of a forked worker: send (True, chunk) or (False, exception)."""
+    try:
+        reply = (True, _sweep_chunk(*task))
+    except Exception as exc:
+        reply = (False, exc)
+    conn.send(reply)
+    conn.close()
+
+
+def _fan_out(cfg, chan, grids, spans):
+    """_sweep_chunk over each (lo, hi) span, returned in span order.
+
+    A forked child runs each span after the first and sends its array back
+    through a one-way pipe; meanwhile the parent runs the first span, so one
+    span starts no process at all.  A child's exception is re-raised here,
+    and a child that exits without a reply raises RuntimeError.  On any
+    error, the parent's own included, the other children are terminated,
+    and every child is joined before this returns or raises.
+    """
+    ctx = get_context("fork")
+    children = []
+    try:
+        for lo, hi in spans[1:]:
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_chunk_child, args=(send, cfg, chan, grids, lo, hi))
+            proc.start()
+            send.close()  # the child's copy is then the only writer: EOF on exit
+            children.append((proc, recv))
+        chunks = [_sweep_chunk(cfg, chan, grids, *spans[0])]
+        for proc, recv in children:
+            try:
+                ok, result = recv.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(
+                    f"sweep worker exited with code {proc.exitcode}") from None
+            proc.join()
+            if not ok:
+                raise result
+            chunks.append(result)
+        return chunks
+    finally:
+        for proc, recv in children:
+            if proc.exitcode is None:
+                proc.terminate()
+            proc.join()
+            recv.close()
 
 
 def run_sweep(cfg: SweepConfig) -> list:
@@ -190,17 +243,8 @@ def run_sweep(cfg: SweepConfig) -> list:
     grids = [profiles[n].grid for n in computed]
     workers = min(cfg.workers, cfg.trials)
     bounds = [(cfg.trials * i) // workers for i in range(workers + 1)]
-    tasks = [
-        (chan, grids, cfg.snr_db, cfg.p_t, cfg.seed, cfg.n_f, cfg.n_t,
-         cfg.n_fft, cfg.granularity, lo, hi)
-        for lo, hi in zip(bounds[:-1], bounds[1:])
-        if hi > lo
-    ]
-    if len(tasks) == 1:
-        chunks = [_sweep_chunk(tasks[0])]
-    else:
-        with get_context("fork").Pool(len(tasks)) as pool:
-            chunks = pool.map(_sweep_chunk, tasks)
+    spans = list(zip(bounds[:-1], bounds[1:]))  # none empty: workers <= trials
+    chunks = _fan_out(cfg, chan, grids, spans)
     bits = np.concatenate(chunks, axis=3)  # (p_t, snr, system, trial)
 
     per_position = bits / (cfg.n_f * cfg.n_t)
@@ -297,18 +341,27 @@ def _print_validation_report(rows, all_ok, fh):
     fh.write(f"{len(rows) - n_fail}/{len(rows)} points passed\n")
 
 
+def _entries(value, types, what) -> list:
+    """A list-valued setting given in a config file, as a list of entries of
+    the given types (a scalar is one entry; booleans never pass)."""
+    values = value if isinstance(value, (list, tuple)) else [value]
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, types):
+            raise TypeError(f"entries must be {what}, got {v!r}")
+    return values
+
+
 def _parse_systems(value) -> tuple:
-    names = value if isinstance(value, (list, tuple)) else str(value).split(",")
+    names = value.split(",") if isinstance(value, str) else _entries(value, str, "strings")
     return tuple(n.strip().lower() for n in names if n.strip())
 
 
 def _parse_snr(value) -> tuple:
-    if isinstance(value, (list, tuple)):
-        return tuple(float(v) for v in value)
-    text = str(value)
-    if ":" not in text:
-        return (float(text),)
-    parts = text.split(":")
+    if not isinstance(value, str):
+        return tuple(float(v) for v in _entries(value, (int, float), "numbers"))
+    if ":" not in value:
+        return (float(value),)
+    parts = value.split(":")
     if len(parts) != 3:
         raise ValueError("SNR range must be START:STEP:STOP")
     start, step, stop = (float(p) for p in parts)
@@ -321,9 +374,9 @@ def _parse_snr(value) -> tuple:
 
 
 def _parse_pt(value) -> tuple:
-    if isinstance(value, (list, tuple)):
-        return tuple(float(v) for v in value)
-    return tuple(float(v) for v in str(value).split(",") if v.strip())
+    if not isinstance(value, str):
+        return tuple(float(v) for v in _entries(value, (int, float), "numbers"))
+    return tuple(float(v) for v in value.split(",") if v.strip())
 
 
 def _parse_int(value) -> int:
@@ -381,7 +434,7 @@ def _build_sweep_config(args, parser) -> SweepConfig:
             continue
         try:
             fields[field] = parse(file_cfg[key] if flag is None else flag)
-        except TypeError as exc:
+        except (TypeError, OverflowError) as exc:
             parser.error(f"config key {key!r} {exc}")
         except ValueError as exc:
             parser.error(str(exc))

@@ -208,8 +208,9 @@ def _dense_candidates(mask, cost):
     time.
 
     mask and cost are (..., n_schemes, N) and broadcast against each other.
-    Returns the cheapest allowed scheme per (grid, bits level, position) and
-    its cost, _NO_MOVE where the level has no allowed scheme.  The last level
+    Returns the cheapest allowed scheme per (grid, bits level, position),
+    the earlier catalog row on a tie, and its cost; a level with no allowed
+    scheme gets its first row and _NO_MOVE.  The last level
     is an all-_NO_MOVE sentinel that _LEVEL_AT gives for bit counts no level
     has; its scheme is left for the caller.
     """
@@ -218,10 +219,13 @@ def _dense_candidates(mask, cost):
     cand_idx = np.zeros(shape, dtype=np.int8)
     cand_cost = np.full(shape, _NO_MOVE)
     for lvl, (_bits, rows) in enumerate(_LEVELS):
-        rows = np.asarray(rows, dtype=np.int8)
-        level_cost = np.where(mask[..., rows, :], cost[..., rows, :], _NO_MOVE)
-        cand_cost[..., lvl, :] = level_cost.min(axis=-2)
-        cand_idx[..., lvl, :] = rows[level_cost.argmin(axis=-2)]
+        level_idx, level_cost = cand_idx[..., lvl, :], cand_cost[..., lvl, :]
+        level_idx[...] = rows[0]
+        for row in rows:
+            # strictly cheaper only: a tie keeps the earlier row, as argmin
+            better = mask[..., row, :] & (cost[..., row, :] < level_cost)
+            np.copyto(level_cost, cost[..., row, :], where=better)
+            np.copyto(level_idx, row, where=better)
     return cand_idx, cand_cost
 
 

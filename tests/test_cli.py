@@ -4,9 +4,12 @@ paired draws, custom profile and channel inputs."""
 import io
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
+import textwrap
+import time
 from pathlib import Path
 
 import numpy as np
@@ -213,6 +216,86 @@ class TestRunSweep:
             run_sweep(small_config(profile_file=str(pf)))
 
 
+def patch_chunks(monkeypatch, fail):
+    """Make cli._sweep_chunk call fail(lo) first; forked children inherit
+    the patch.  A chunk for which fail returns goes on as usual."""
+    real = cli._sweep_chunk
+
+    def chunk(cfg, chan, grids, lo, hi):
+        fail(lo)
+        return real(cfg, chan, grids, lo, hi)
+
+    monkeypatch.setattr(cli, "_sweep_chunk", chunk)
+
+
+def source_env():
+    src = str(Path(ofdmse.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+class TestFanOut:
+    def test_child_exception_is_reraised(self, monkeypatch):
+        def fail(lo):
+            if lo > 0:
+                raise ValueError(f"chunk at trial {lo} failed")
+
+        patch_chunks(monkeypatch, fail)
+        with pytest.raises(ValueError, match=r"^chunk at trial 2 failed$"):
+            run_sweep(small_config(trials=6, workers=3))
+        assert multiprocessing.active_children() == []
+
+    def test_child_exception_is_a_usage_error(self, monkeypatch, capsys):
+        def fail(lo):
+            if lo > 0:
+                raise ValueError("bad chunk")
+
+        patch_chunks(monkeypatch, fail)
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", "--systems", "lte", "--snr-db", "20", "--trials", "2",
+                  "--workers", "2"])
+        assert err.value.code == 2
+        assert "bad chunk" in capsys.readouterr().err
+        assert multiprocessing.active_children() == []
+
+    def test_parent_chunk_failure_reaps_children(self, monkeypatch):
+        def fail(lo):
+            if lo == 0:
+                raise ValueError("parent chunk failed")
+            time.sleep(60)  # still running when the parent fails
+
+        patch_chunks(monkeypatch, fail)
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="parent chunk failed"):
+            run_sweep(small_config(trials=6, workers=3))
+        assert time.monotonic() - start < 30
+        assert multiprocessing.active_children() == []
+
+    def test_child_exit_without_result_raises(self):
+        # in a subprocess with a timeout, so a fan-out that waits forever on
+        # a dead worker fails this test instead of stalling the suite
+        script = textwrap.dedent("""
+            import multiprocessing, os
+            from ofdmse import cli
+            real = cli._sweep_chunk
+            def chunk(cfg, chan, grids, lo, hi):
+                if lo > 0:
+                    os._exit(3)
+                return real(cfg, chan, grids, lo, hi)
+            cli._sweep_chunk = chunk
+            cfg = cli.SweepConfig(systems=("lte",), snr_db=(20.0,), trials=4, workers=2)
+            try:
+                cli.run_sweep(cfg)
+            except RuntimeError as exc:
+                print(exc)
+            print(len(multiprocessing.active_children()))
+        """)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=60, env=source_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["sweep worker exited with code 3", "0"]
+
+
 class TestGoldenCsv:
     """Byte-for-byte pins of a short sweep: fb,cm,lte,mlte over 0:2:40 dB,
     p_t 1e-3 and 1e-2, 20 trials, seed 0, one file per granularity."""
@@ -342,6 +425,36 @@ class TestMain:
         assert err.value.code == 2
         assert f"config key {key!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [
+        ("systems", ["fb", 1]), ("systems", [None]), ("systems", 7),
+        ("snr_db", [True, 10]), ("snr_db", ["12", 10]), ("snr_db", True),
+        ("snr_db", [10 ** 400]),
+        ("pt", [True]), ("pt", ["1e-3"]), ("pt", False),
+    ])
+    def test_mistyped_list_config_value(self, tmp_path, capsys, key, value):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({key: value}))
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", "--config", str(cfg_file)])
+        assert err.value.code == 2
+        assert f"config key {key!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("file_cfg,flags", [
+        ({"systems": ["LTE", " cm"], "snr_db": [10, 20.0], "pt": [0.001]},
+         ["--systems", "lte,cm", "--snr-db", "10:10:20", "--pt", "1e-3"]),
+        ({"systems": "lte, cm", "snr_db": "10:10:20", "pt": "0.001"},
+         ["--systems", "lte,cm", "--snr-db", "10:10:20", "--pt", "1e-3"]),
+        ({"snr_db": 12, "pt": 0.01}, ["--snr-db", "12", "--pt", "0.01"]),
+    ])
+    def test_config_lists_parse_like_flags(self, tmp_path, monkeypatch, file_cfg, flags):
+        seen = []
+        monkeypatch.setattr(cli, "run_sweep", lambda cfg: seen.append(cfg) or [])
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(file_cfg))
+        assert main(["sweep", "--config", str(cfg_file)]) == 0
+        assert main(["sweep"] + flags) == 0
+        assert seen[0] == seen[1]
+
     def test_null_path_config_value_means_default(self, tmp_path, capsys):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"out": None, "systems": ["lte"],
@@ -371,11 +484,9 @@ class TestMain:
 
 
 def test_python_m_ofdmse_runs_clean():
-    src = str(Path(ofdmse.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "ofdmse", "sweep", "--trials", "2", "--snr-db", "10"],
-        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=120, env=source_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""

@@ -25,8 +25,10 @@ from ofdmse.loading import (
 )
 from ofdmse.loading import (
     _LEVELS,
+    _NO_MOVE,
     _ber_table,
     _block_core,
+    _dense_candidates,
     _greedy_lockstep,
     _initial_silent,
 )
@@ -474,6 +476,58 @@ class TestLockstep:
             assert totals.shape == (len(snrs), len(grids))
             expected = [[allocate(snr, g, p_t).total_bits for g in grids] for snr in snrs]
             np.testing.assert_array_equal(totals, expected)
+
+
+def dense_candidates_by_argmin(mask, cost):
+    """_dense_candidates as a min and argmin over each level's gathered
+    rows, kept as the reference for the strict-less-than chain."""
+    lead = np.broadcast_shapes(mask.shape[:-2], cost.shape[:-2])
+    shape = lead + (len(_LEVELS) + 1, mask.shape[-1])
+    cand_idx = np.zeros(shape, dtype=np.int8)
+    cand_cost = np.full(shape, _NO_MOVE)
+    for lvl, (_bits, rows) in enumerate(_LEVELS):
+        rows = np.asarray(rows, dtype=np.int8)
+        level_cost = np.where(mask[..., rows, :], cost[..., rows, :], _NO_MOVE)
+        cand_cost[..., lvl, :] = level_cost.min(axis=-2)
+        cand_idx[..., lvl, :] = rows[level_cost.argmin(axis=-2)]
+    return cand_idx, cand_cost
+
+
+def assert_candidates_match_argmin(mask, cost):
+    got = _dense_candidates(mask, cost)
+    want = dense_candidates_by_argmin(mask, cost)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+class TestDenseCandidates:
+    def test_matches_argmin_on_sweep_draws(self):
+        # the sweep's broadcast: (1, systems, ...) masks, (grids, 1, ...) costs
+        masks = np.stack([flat_mask(build_profile(n).grid) for n in ("fb", "cm", "lte", "mlte")])
+        for snrs in sweep_draws(2):
+            cost = _ber_table(np.stack([np.ascontiguousarray(s.gamma.T).ravel() for s in snrs]))
+            cost *= CATALOG_BITS[:, None]
+            assert_candidates_match_argmin(masks[None], cost[:, None])
+            for m in masks:
+                assert_candidates_match_argmin(m, cost[0])
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), rows=st.integers(1, 4), n=st.integers(1, 12))
+    def test_matches_argmin_on_random_masks(self, data, rows, n):
+        mask = data.draw(arrays(bool, (rows, N_SCHEMES, n)))
+        # clear whole levels at some positions, so no scheme of them is allowed
+        for level in BIT_LEVELS:
+            empty = data.draw(arrays(bool, (rows, 1, n)))
+            mask[:, level] &= ~empty
+        # few distinct costs, so rows of one level often tie
+        values = data.draw(st.lists(st.floats(0.0, 6.0), min_size=1, max_size=3))
+        pick = data.draw(arrays(np.int64, (rows, N_SCHEMES, n),
+                                elements=st.integers(0, len(values) - 1)))
+        cost = np.asarray(values)[pick]
+        assert_candidates_match_argmin(mask, cost)
+        assert_candidates_match_argmin(mask[0], cost)
+        assert_candidates_match_argmin(mask, cost[0])
 
 
 def block_core_one_scheme_at_a_time(mask, cost, p_t):
