@@ -36,6 +36,8 @@ from .modulation import (
     CATALOG_BITS,
     N_SCHEMES,
     ModulationScheme,
+    _ber_kernel,
+    _checked_gamma,
     ber,
     scheme_from_name,
 )
@@ -109,11 +111,13 @@ def position_ber_table(snr: SnrGrid) -> np.ndarray:
 
 def _ber_table(gamma: np.ndarray) -> np.ndarray:
     """position_ber_table of flat gammas with leading dimensions:
-    (..., N) -> (..., n_schemes, N), one ber call per scheme."""
+    (..., N) -> (..., n_schemes, N); checks gamma once, then one BER
+    kernel call per scheme."""
+    gamma = _checked_gamma(gamma)
     table = np.zeros(gamma.shape[:-1] + (N_SCHEMES, gamma.shape[-1]))
     for i, s in enumerate(CATALOG):
         if not s.silent:
-            table[..., i, :] = ber(s, gamma)
+            table[..., i, :] = _ber_kernel(s, gamma)
     return table
 
 
@@ -409,9 +413,9 @@ def sweep_total_bits(grids, snrs, p_t: float, granularity: str) -> np.ndarray:
     Returns int64 (len(snrs), len(grids)): the total_bits greedy_allocate
     ("subcarrier" granularity) or block_allocate ("block") would give for
     each pair.  The SNR grids may come from one channel draw or several;
-    each row depends only on its own SNR grid.  One ber call per scheme
-    covers every SNR grid, and one batched call of either loader core
-    scores every pair.  The SNR grids must share the constraint grids'
+    each row depends only on its own SNR grid.  One BER kernel call per
+    scheme covers every SNR grid, and one batched call of either loader
+    core scores every pair.  The SNR grids must share the constraint grids'
     shape, and p_t must lie in (0, 0.5).
     """
     masks = np.stack([flat_mask(g) for g in grids])

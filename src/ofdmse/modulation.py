@@ -5,6 +5,13 @@ Order 1 means the position stays silent and carries no bits.  All BER models
 assume unit average symbol energy, coherent minimum-distance detection and
 circularly symmetric complex noise with total variance 1/gamma, so gamma is
 the instantaneous per-symbol SNR.
+
+Each non-silent scheme's curve is one kernel, _ber_kernel: one erfc call
+covers all of its Q terms, stacked on a leading term axis, and for 8- and
+16-PSK one owens_t call covers all of its decision boundaries.  The terms
+are summed in a fixed order with fixed coefficients, so a value does not
+depend on the batching.  min_snr_for bisects with one kernel call per
+depth-4 tree of midpoints.
 """
 
 from __future__ import annotations
@@ -93,7 +100,18 @@ def bits(scheme: ModulationScheme) -> int:
 
 def _qfunc(x):
     # Gaussian tail via the complementary error integral, library-grade accuracy.
-    return 0.5 * erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
+    return 0.5 * erfc(x / np.sqrt(2.0))
+
+
+def _column(values: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """Per-term constants shaped to broadcast along a leading term axis of `gamma`."""
+    return values.reshape((-1,) + (1,) * gamma.ndim)
+
+
+def _frozen(values) -> np.ndarray:
+    out = np.array(values, dtype=float)
+    out.flags.writeable = False
+    return out
 
 
 def _gray(i: int) -> int:
@@ -114,40 +132,49 @@ def _psk_wedge_weights(order: int) -> tuple[float, ...]:
     )
 
 
-def _phase_exceedance(psi: float, gamma):
-    """P(|received phase error| > psi one-sided), psi in (0, pi).
+@lru_cache(maxsize=None)
+def _psk_boundaries(order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Constants of the M-PSK decision boundaries psi_j = (2j+1)pi/M, j < M/2.
 
-    For a unit-amplitude signal in complex noise of variance 1/gamma the
-    probability that the phase error exceeds psi is a cone probability of a
-    bivariate normal, which reduces to a Q term plus an Owen's T term.
+    Returns sin(psi_j), 1/tan(psi_j) and the weight of the wedge between
+    boundaries j and j+1, each boundary's constants evaluated on its own
+    scalar angle.
     """
-    h = np.sqrt(2.0 * gamma) * np.sin(psi)
-    return 0.5 * _qfunc(h) + owens_t(h, 1.0 / np.tan(psi))
+    psi = [(2 * j + 1) * np.pi / order for j in range(order // 2)]
+    weights = _psk_wedge_weights(order)
+    return (
+        _frozen([np.sin(p) for p in psi]),
+        _frozen([1.0 / np.tan(p) for p in psi]),
+        _frozen([weights[m] + weights[order - m] for m in range(1, order // 2)]),
+    )
 
 
 def _psk_gray_ber(order: int, gamma: np.ndarray) -> np.ndarray:
     """Exact Gray-coded M-PSK bit error probability at symbol SNR gamma.
 
     Sums bit errors over the M-1 angular decision wedges; wedge probabilities
-    are differences of exact phase-exceedance terms.  Each decision boundary
-    (2j-1)pi/M, j = 1..M/2, is evaluated once and shared by the two wedges
-    it separates.  Valid for every power-of-two order >= 2.
+    are differences of exact phase-exceedance probabilities at the decision
+    boundaries (2j+1)pi/M.  For a unit-amplitude signal in complex noise of
+    variance 1/gamma, exceeding psi one-sided is a cone probability of a
+    bivariate normal, a Q term plus an Owen's T term; one erfc and one
+    owens_t call cover every boundary.  Valid for every power-of-two order
+    >= 2.
     """
     k = order.bit_length() - 1
-    weights = _psk_wedge_weights(order)
+    sin_psi, cot_psi, wedge_weights = _psk_boundaries(order)
+    h = np.sqrt(2.0 * gamma) * _column(sin_psi, gamma)
+    beyond = 0.5 * _qfunc(h) + owens_t(h, _column(cot_psi, gamma))
+    wedges = _column(wedge_weights, gamma) * np.maximum(beyond[:-1] - beyond[1:], 0.0)
     total = np.zeros_like(gamma)
-    outer = _phase_exceedance(np.pi / order, gamma)
-    for m in range(1, order // 2):
-        inner = _phase_exceedance((2 * m + 1) * np.pi / order, gamma)
-        total += (weights[m] + weights[order - m]) * np.maximum(outer - inner, 0.0)
-        outer = inner
+    for term in wedges:
+        total += term
     # the wedge opposite the transmitted point straddles +-pi
-    total += weights[order // 2] * 2.0 * outer
+    total += _psk_wedge_weights(order)[order // 2] * 2.0 * beyond[-1]
     return total / k
 
 
 @lru_cache(maxsize=None)
-def _pam_terms(levels: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+def _pam_terms(levels: int) -> tuple[np.ndarray, np.ndarray]:
     """Exact Gray bit-error expansion for `levels` equally spaced amplitudes.
 
     Returns (coeffs, half_steps) such that the expected bit errors per symbol
@@ -168,14 +195,18 @@ def _pam_terms(levels: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
             if inner:
                 acc[m + 0.5] = acc.get(m + 0.5, 0.0) - hamming
     items = sorted((h, c / levels) for h, c in acc.items() if c != 0.0)
-    return tuple(c for _, c in items), tuple(h for h, _ in items)
+    return _frozen([c for _, c in items]), _frozen([h for h, _ in items])
 
 
 def _pam_bit_errors(levels: int, delta_over_sigma: np.ndarray) -> np.ndarray:
+    """The _pam_terms sum, summed in term order, with one erfc call for all terms."""
     coeffs, half_steps = _pam_terms(levels)
+    terms = _column(coeffs, delta_over_sigma) * _qfunc(
+        _column(half_steps, delta_over_sigma) * delta_over_sigma
+    )
     out = np.zeros_like(delta_over_sigma)
-    for c, h in zip(coeffs, half_steps):
-        out += c * _qfunc(h * delta_over_sigma)
+    for term in terms:
+        out += term
     return out
 
 
@@ -199,6 +230,31 @@ def _ask_gray_ber(order: int, gamma: np.ndarray) -> np.ndarray:
     return _pam_bit_errors(order, delta_over_sigma) / k
 
 
+def _checked_gamma(gamma) -> np.ndarray:
+    """`gamma` as a float array; raises ValueError unless finite and non-negative."""
+    g = np.asarray(gamma, dtype=float)
+    if not np.all(np.isfinite(g)):
+        raise ValueError("gamma must be finite")
+    if np.any(g < 0.0):
+        raise ValueError("gamma must be non-negative")
+    return g
+
+
+def _ber_kernel(scheme: ModulationScheme, g: np.ndarray) -> np.ndarray:
+    """BER of the non-silent `scheme` at the checked float array `g`."""
+    family, order = scheme.family, scheme.order
+    if family == ModulationFamily.ASK:
+        return _ask_gray_ber(order, g)
+    if order == 2:
+        return 0.5 * erfc(np.sqrt(g))   # BPSK: Q(sqrt(2 gamma))
+    if order == 4:
+        # Gray QPSK, and 4-QAM: its one-term _qam_gray_ber sum reduces to this exactly
+        return _qfunc(np.sqrt(g))
+    if family == ModulationFamily.QAM:
+        return _qam_gray_ber(order, g)
+    return _psk_gray_ber(order, g)
+
+
 def ber(scheme: ModulationScheme, gamma):
     """Exact Gray-coded bit error probability under coherent AWGN detection.
 
@@ -217,52 +273,82 @@ def ber(scheme: ModulationScheme, gamma):
     """
     if scheme.silent:
         raise ValueError(f"{scheme} is silent (order 1) and has no bit error rate")
-    g = np.asarray(gamma, dtype=float)
-    if not np.all(np.isfinite(g)):
-        raise ValueError("gamma must be finite")
-    if np.any(g < 0.0):
-        raise ValueError("gamma must be non-negative")
-    if scheme.family == ModulationFamily.PSK:
-        if scheme.order == 2:
-            out = 0.5 * erfc(np.sqrt(g))   # Q(sqrt(2 gamma))
-        elif scheme.order == 4:
-            out = _qfunc(np.sqrt(g))       # bit-identical to the QAM4 path
-        else:
-            out = _psk_gray_ber(scheme.order, g)
-    elif scheme.family == ModulationFamily.QAM:
-        out = _qam_gray_ber(scheme.order, g)
-    else:
-        out = _ask_gray_ber(scheme.order, g)
+    out = _ber_kernel(scheme, _checked_gamma(gamma))
     if np.isscalar(gamma) or np.ndim(gamma) == 0:
         return float(out)
     return out
 
 
-def min_snr_for(scheme: ModulationScheme, target_ber: float) -> float:
-    """Smallest linear SNR at which `scheme` meets `target_ber`.
+#: min_snr_for brackets its answer between 0 and the first of these powers of
+#: two whose BER meets the target, trying one row per BER call; the next
+#: power, 2**40, passes 1e12.
+_BRACKET_TOPS = np.ldexp(1.0, np.arange(40)).reshape(5, 8)
 
-    Bisects the monotone BER curve; the returned gamma satisfies
-    |ber(scheme, gamma) - target_ber| <= 1e-12 and ber(scheme, g) <= target_ber
-    for every g >= gamma.
+#: Bisection steps min_snr_for evaluates per BER call, as a tree of midpoints.
+_TREE_DEPTH = 4
+
+
+def _bisection_tree(lo: float, hi: float) -> list[float]:
+    """Midpoints of the next _TREE_DEPTH bisection steps of [lo, hi].
+
+    Heap order: node n bisects its bracket at mids[n]; its children 2n+1 and
+    2n+2 bisect the lower and the upper half.  Each midpoint is
+    0.5 * (lo + hi) of its own bracket, as a serial bisection computes it.
+    """
+    brackets, mids = [(lo, hi)], []
+    for n in range(2 ** _TREE_DEPTH - 1):
+        a, b = brackets[n]
+        mid = 0.5 * (a + b)
+        mids.append(mid)
+        brackets += [(a, mid), (mid, b)]
+    return mids
+
+
+def min_snr_for(scheme: ModulationScheme, target_ber: float) -> float:
+    """Smallest linear SNR at which `scheme` meets `target_ber`, by bisection.
+
+    Brackets the answer between 0 and the first power of two hi <= 2**39
+    with ber(scheme, hi) <= target_ber (RuntimeError if there is none),
+    then bisects for at most 200 steps.  A step stops early and returns its
+    midpoint when the BER there is within 1e-13 of the target, so the
+    returned gamma satisfies ber(scheme, gamma) <= target_ber + 1e-13.
+    Otherwise the upper end of the last bracket is returned, so
+    ber(scheme, gamma) <= target_ber; the bracket closes on two adjacent
+    doubles, so the BER at the next double below gamma is above
+    target_ber, unless the 200 steps run out first.
+
+    Each BER call evaluates the midpoints of the next _TREE_DEPTH steps at
+    once, and the bracket tops a row of _BRACKET_TOPS at once; the walk
+    applies the serial tests in order, so the result does not depend on
+    the batching.
     """
     if scheme.silent:
         raise ValueError(f"{scheme} is silent (order 1) and has no bit error rate")
     if not (0.0 < target_ber < 0.5):
         raise ValueError(f"target_ber must lie in (0, 0.5), got {target_ber!r}")
-    lo, hi = 0.0, 1.0
-    while ber(scheme, hi) > target_ber:
-        hi *= 2.0
-        if hi > 1e12:
-            raise RuntimeError(f"no SNR below 1e12 meets BER {target_ber} for {scheme}")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
+    for tops in _BRACKET_TOPS:
+        meets = np.flatnonzero(_ber_kernel(scheme, tops) <= target_ber)
+        if meets.size:
+            hi = float(tops[meets[0]])
             break
-        b = ber(scheme, mid)
-        if abs(b - target_ber) <= 1e-13:
-            return mid
-        if b > target_ber:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    else:
+        raise RuntimeError(f"no SNR below 1e12 meets BER {target_ber} for {scheme}")
+    lo, steps = 0.0, 0
+    while True:
+        mids = _bisection_tree(lo, hi)
+        bers = _ber_kernel(scheme, np.array(mids))
+        node = 0
+        for _ in range(_TREE_DEPTH):
+            if steps == 200:
+                return hi
+            steps += 1
+            mid = mids[node]
+            if mid == lo or mid == hi:
+                return hi
+            b = bers[node]
+            if abs(b - target_ber) <= 1e-13:
+                return mid
+            if b > target_ber:
+                lo, node = mid, 2 * node + 2
+            else:
+                hi, node = mid, 2 * node + 1
