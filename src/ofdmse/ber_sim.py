@@ -4,6 +4,9 @@ Independent empirical route against which the closed-form BER models are
 validated: random bits are Gray-mapped onto the unit-average-energy
 constellation, passed through additive circularly symmetric complex Gaussian
 noise of total variance 1/gamma, and detected by minimum Euclidean distance.
+Each transmitted point is read from a per-scheme table of the constellation,
+built with the per-symbol expressions, so a batch evaluates no complex
+exponential per symbol.
 """
 
 from __future__ import annotations
@@ -52,6 +55,24 @@ def _bit_error_table(n_bits: int) -> np.ndarray:
     return table
 
 
+def _constellation(scheme: ModulationScheme) -> tuple[np.ndarray, float]:
+    """The transmitted point of every symbol index, built with the per-symbol
+    expressions on np.arange(order), and the scale detection divides by:
+    half the level spacing for QAM, the spacing for ASK, 1.0 for PSK."""
+    order = scheme.order
+    sym = np.arange(order)
+    if scheme.family == ModulationFamily.PSK:
+        return np.exp(2j * np.pi * sym / order), 1.0
+    if scheme.family == ModulationFamily.QAM:
+        side = 1 << (scheme.bits // 2)
+        half = np.sqrt(3.0 / (2.0 * (order - 1)))  # half the level spacing
+        si, sq = sym // side, sym % side
+        return ((2 * si - (side - 1)) + 1j * (2 * sq - (side - 1))) * half, half
+    # unipolar ASK on the real axis
+    step = np.sqrt(6.0 / ((order - 1) * (2 * order - 1)))
+    return sym * step, step
+
+
 def _simulate_batch(scheme: ModulationScheme, gamma: float, n: int,
                     rng: np.random.Generator) -> int:
     """Bit errors over `n` symbols; exact ML detection per constellation geometry."""
@@ -61,27 +82,21 @@ def _simulate_batch(scheme: ModulationScheme, gamma: float, n: int,
     popcount = _bit_error_table(k)
     sent = rng.integers(0, order, n)
     noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.sqrt(0.5 / gamma)
+    points, scale = _constellation(scheme)
+    y = points[sent] + noise
     if scheme.family == ModulationFamily.PSK:
-        tx = np.exp(2j * np.pi * sent / order)
-        y = tx + noise
         det = np.mod(np.round(np.angle(y) * order / (2.0 * np.pi)).astype(np.int64), order)
         return int(popcount[labels[sent] ^ labels[det]].sum())
     if scheme.family == ModulationFamily.QAM:
         side = 1 << (k // 2)
-        half = np.sqrt(3.0 / (2.0 * (order - 1)))  # half the level spacing
         axis_gray = _gray_codes(side)
         si, sq = sent // side, sent % side
-        tx = ((2 * si - (side - 1)) + 1j * (2 * sq - (side - 1))) * half
-        y = tx + noise
-        di = np.clip(np.round((y.real / half + side - 1) / 2.0).astype(np.int64), 0, side - 1)
-        dq = np.clip(np.round((y.imag / half + side - 1) / 2.0).astype(np.int64), 0, side - 1)
+        di = np.clip(np.round((y.real / scale + side - 1) / 2.0).astype(np.int64), 0, side - 1)
+        dq = np.clip(np.round((y.imag / scale + side - 1) / 2.0).astype(np.int64), 0, side - 1)
         sent_label = (axis_gray[si] << (k // 2)) | axis_gray[sq]
         det_label = (axis_gray[di] << (k // 2)) | axis_gray[dq]
         return int(popcount[sent_label ^ det_label].sum())
-    # unipolar ASK on the real axis
-    step = np.sqrt(6.0 / ((order - 1) * (2 * order - 1)))
-    y = sent * step + noise
-    det = np.clip(np.round(y.real / step).astype(np.int64), 0, order - 1)
+    det = np.clip(np.round(y.real / scale).astype(np.int64), 0, order - 1)
     return int(popcount[labels[sent] ^ labels[det]].sum())
 
 

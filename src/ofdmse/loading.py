@@ -48,6 +48,11 @@ EXHAUSTIVE_LIMIT = 10_000_000
 #: Assignments evaluated per block of the exhaustive search.
 _CHUNK = 1 << 17
 
+#: Bit levels of fewer assignments than this share an exhaustive-search
+#: block, and a search space of at most this many is one block in id
+#: order, so a small search makes few numpy calls.
+_MERGE = 1 << 10
+
 #: Catalog rows per positive bits-per-symbol level, family-ascending.
 _LEVELS = tuple(
     (b, tuple(i for i, s in enumerate(CATALOG) if s.bits == b))
@@ -180,6 +185,14 @@ def _one_grid(snr: SnrGrid, constraints: ConstraintGrid, p_t: float, ber_table):
         raise ValueError(f"p_t must lie in (0, 0.5), got {p_t!r}")
     if ber_table is None:
         ber_table = position_ber_table(snr)
+    else:
+        # a broadcastable table of the wrong shape would load every position
+        ber_table = np.asarray(ber_table, dtype=float)
+        shape = (N_SCHEMES, constraints.n_f * constraints.n_t)
+        if ber_table.shape != shape:
+            raise ValueError(f"ber_table has shape {ber_table.shape}, expected {shape}")
+        if not np.all((ber_table >= 0.0) & (ber_table <= 0.5)):
+            raise ValueError("ber_table entries must be finite and lie in [0, 0.5]")
     return flat_mask(constraints), CATALOG_BITS[:, None] * ber_table
 
 
@@ -436,45 +449,108 @@ def exhaustive_allocate(
     Maximizes total bits, breaking ties by lowest average BER and then by
     first-enumerated assignment (allowed schemes in catalog order, position
     p = l * n_f + k varying fastest at the highest p).  Refuses search
-    spaces larger than EXHAUSTIVE_LIMIT assignments.
+    spaces larger than EXHAUSTIVE_LIMIT assignments before it allocates.
+
+    Bits are scored before any BER is summed.  An assignment's id is a
+    mixed-radix number with position 0 as its most significant digit, split
+    into a high part (the leading positions) and a low part, each
+    enumerated in full; its bit total is the sum of its parts' integer bit
+    totals.  One counting sort of the low part by bits (np.bincount and a
+    stable argsort) then gives, for every (bits level, high part), the low
+    parts that complete it, in id order.  The search walks the levels from
+    the highest and scores each level's ids in ascending order, in blocks
+    of at most _CHUNK rows (small levels share a block of up to _MERGE
+    ids), with the row sum of a C-contiguous (rows, n) cost array and the
+    division by the level that a full enumeration makes.  It stops at the
+    first level that has an assignment within p_t, where the first
+    assignment of least average wins, so every float and every choice is
+    the full enumeration's.  A search space of at most _MERGE assignments
+    is scored as one block in id order, with no sort.
     """
     mask, cost = _one_grid(snr, constraints, p_t, ber_table)
     n = mask.shape[1]
-    options = [np.nonzero(mask[:, p])[0] for p in range(n)]
-    sizes = np.array([o.size for o in options], dtype=np.int64)
-    total = math.prod(int(s) for s in sizes)  # exact: 13^84 overflows int64
+    sizes = np.count_nonzero(mask, axis=0).tolist()
+    total = math.prod(sizes)  # exact: 13^84 overflows int64
     if total > EXHAUSTIVE_LIMIT:
         raise ValueError(
             f"search space {total} exceeds the exhaustive bound {EXHAUSTIVE_LIMIT}"
         )
-    # mixed-radix digits: position 0 is the most significant, so the first
-    # feasible id found at the best score is also first in position order
-    strides = np.ones(n, dtype=np.int64)
-    strides[:-1] = np.cumprod(sizes[::-1], dtype=np.int64)[::-1][1:]
-    lut = np.zeros((n, int(sizes.max())), dtype=np.int64)
-    for p, opt in enumerate(options):
-        lut[p, : opt.size] = opt
+    # lut[p, d] is position p's d-th allowed scheme, in catalog order
+    lut = np.argsort(~mask, axis=0, kind="stable").T
     cols = np.arange(n)
-    best = (-1, np.inf, 0.0, None)  # (bits, avg, weighted sum, scheme indices)
-    for start in range(0, total, _CHUNK):
-        ids = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        digits = (ids[:, None] // strides[None, :]) % sizes[None, :]
-        sel = lut[cols[None, :], digits]
+    if total <= _MERGE:
+        # every assignment fits one merged block: score them all in id order
+        sel = lut[cols, np.indices(sizes).reshape(n, total).T]
         w = CATALOG_BITS[sel].sum(axis=1)
-        weighted = np.ascontiguousarray(cost[sel, cols[None, :]]).sum(axis=1)
-        avg = np.where(w > 0, weighted / np.maximum(w, 1), 0.0)
-        feas = np.nonzero(avg <= p_t)[0]
-        if feas.size == 0:
-            continue
-        w_f = w[feas]
-        top = feas[w_f == w_f.max()]
-        j = top[np.argmin(avg[top])]
-        if int(w[j]) > best[0] or (int(w[j]) == best[0] and float(avg[j]) < best[1]):
-            best = (int(w[j]), float(avg[j]), float(weighted[j]), sel[j].copy())
-    w_best, _avg_best, s_best, sel_best = best
-    return _to_allocation(
-        sel_best, constraints.n_f, constraints.n_t, s_best, w_best
-    )
+        weighted = cost[sel, cols].sum(axis=1)
+        avg = weighted / np.maximum(w, 1)  # silent costs are 0.0, so level 0 gives 0.0
+        feas = np.flatnonzero(avg <= p_t)
+        level = int(w[feas].max())
+        feas = feas[w[feas] == level]
+        j = feas[np.argmin(avg[feas])]
+        return _to_allocation(sel[j], constraints.n_f, constraints.n_t, float(weighted[j]), level)
+    top = int(np.where(mask, CATALOG_BITS[:, None], 0).max(axis=0).sum())
+    # the high part takes leading positions while its (levels, rows)
+    # segment table stays no larger than the low part
+    split, s_hi = 0, 1
+    while split < n and (s_hi * sizes[split]) ** 2 * (top + 1) <= total:
+        s_hi *= sizes[split]
+        split += 1
+    hi = lut[cols[:split], np.indices(sizes[:split]).reshape(split, s_hi).T]
+    lo = lut[cols[split:], np.indices(sizes[split:]).reshape(n - split, total // s_hi).T]
+    # the smallest integer type that holds every bit total keeps the sort fast
+    bit_type = np.min_scalar_type(top)
+    w_hi = CATALOG_BITS[hi].sum(axis=1, dtype=bit_type)
+    w_lo = CATALOG_BITS[lo].sum(axis=1, dtype=bit_type)
+    lo = lo[np.argsort(w_lo, kind="stable")]
+    lo_count = np.bincount(w_lo, minlength=top + 2)  # lo_count[top + 1] == 0
+    # low rows are gathered full width, then the high columns written over
+    cost_hi, cost_lo = cost[hi, cols[:split]], np.zeros((lo.shape[0], n))
+    cost_lo[:, split:] = cost[lo, cols[split:]]
+    # segment (level, h), levels descending and h ascending: the sorted low
+    # rows that complete high row h to the level, so segment order is id
+    # order within each level; seg holds h, the level, and the offset from
+    # a row's place g in the walk to its sorted low row
+    need = (np.arange(top, -1, -1)[:, None] - w_hi).ravel()
+    need[need < 0] = top + 1
+    seg_len = lo_count[need]
+    seg_end = np.cumsum(seg_len)
+    seg = np.empty((3, need.size), dtype=np.intp)
+    seg[1], seg[0] = np.divmod(np.arange(need.size), s_hi)
+    np.subtract(top, seg[1], out=seg[1])
+    seg[2] = (np.cumsum(lo_count) - lo_count)[need] - seg_end + seg_len
+    bounds = np.zeros(top + 2, dtype=np.intp)  # level top - i starts at bounds[i]
+    bounds[1:] = seg_end[s_hi - 1 :: s_hi]
+    g, stop, level, best = 0, total, None, (np.inf,)
+    while g < stop:
+        if level is None:
+            # the current level, plus whole levels below while within _MERGE ids
+            cur, far = bounds.searchsorted([g, g + _MERGE], side="right")
+            end = min(g + _CHUNK, max(bounds[cur], bounds[far - 1]))
+        else:
+            end = min(g + _CHUNK, stop)
+        s0, s1 = seg_end.searchsorted([g, end - 1], side="right")
+        ends = np.minimum(seg_end[s0 : s1 + 1], end)
+        h, w, rows = np.repeat(seg[:, s0 : s1 + 1], ends - np.append(g, ends[:-1]), axis=1)
+        rows += np.arange(g, end)
+        vals = cost_lo.take(rows, axis=0)
+        vals[:, :split] = cost_hi.take(h, axis=0)
+        weighted = vals.sum(axis=1)
+        avg = weighted / np.maximum(w, 1)
+        feas = np.flatnonzero(avg <= p_t)
+        if feas.size:
+            if level is None:
+                # the top feasible level: finish it, then stop
+                level = int(w[feas[0]])
+                stop = bounds[top - level + 1]
+            feas = feas[w[feas] == level]
+            j = feas[np.argmin(avg[feas])]
+            if avg[j] < best[0]:
+                best = (avg[j], float(weighted[j]), h[j], rows[j])
+        g = end
+    _avg, s_best, h, row = best
+    idx = np.concatenate((hi[h], lo[row]))
+    return _to_allocation(idx, constraints.n_f, constraints.n_t, s_best, level)
 
 
 def _block_core(mask, cost, p_t):

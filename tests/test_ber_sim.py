@@ -3,7 +3,16 @@
 import numpy as np
 import pytest
 
-from ofdmse.ber_sim import MIN_SYMBOLS, SimConfig, simulate_ber
+from ofdmse import ber_sim
+from ofdmse.ber_sim import (
+    MIN_SYMBOLS,
+    SimConfig,
+    _bit_error_table,
+    _constellation,
+    _gray_codes,
+    _simulate_batch,
+    simulate_ber,
+)
 from ofdmse.modulation import (
     CATALOG,
     ModulationFamily,
@@ -80,3 +89,70 @@ def test_models_track_simulation(scheme):
             f"{scheme} at gamma={gamma:.4g}: model {analytic:.4g} "
             f"vs sim {empirical:.4g} (rel {rel:.1%}, ci {ci:.2g})"
         )
+
+
+# The batch before its transmitted points came from a table: each point is
+# computed from its symbol index.  Kept as the reference for the table path.
+
+def transmitted_per_symbol(scheme, sent):
+    order = scheme.order
+    if scheme.family == PSK:
+        return np.exp(2j * np.pi * sent / order)
+    if scheme.family == QAM:
+        side = 1 << (scheme.bits // 2)
+        half = np.sqrt(3.0 / (2.0 * (order - 1)))
+        si, sq = sent // side, sent % side
+        return ((2 * si - (side - 1)) + 1j * (2 * sq - (side - 1))) * half
+    return sent * np.sqrt(6.0 / ((order - 1) * (2 * order - 1)))
+
+
+def simulate_batch_per_symbol(scheme, gamma, n, rng):
+    order = scheme.order
+    k = scheme.bits
+    labels = _gray_codes(order)
+    popcount = _bit_error_table(k)
+    sent = rng.integers(0, order, n)
+    noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.sqrt(0.5 / gamma)
+    y = transmitted_per_symbol(scheme, sent) + noise
+    if scheme.family == PSK:
+        det = np.mod(np.round(np.angle(y) * order / (2.0 * np.pi)).astype(np.int64), order)
+        return int(popcount[labels[sent] ^ labels[det]].sum())
+    if scheme.family == QAM:
+        side = 1 << (k // 2)
+        half = np.sqrt(3.0 / (2.0 * (order - 1)))
+        axis_gray = _gray_codes(side)
+        si, sq = sent // side, sent % side
+        di = np.clip(np.round((y.real / half + side - 1) / 2.0).astype(np.int64), 0, side - 1)
+        dq = np.clip(np.round((y.imag / half + side - 1) / 2.0).astype(np.int64), 0, side - 1)
+        sent_label = (axis_gray[si] << (k // 2)) | axis_gray[sq]
+        det_label = (axis_gray[di] << (k // 2)) | axis_gray[dq]
+        return int(popcount[sent_label ^ det_label].sum())
+    step = np.sqrt(6.0 / ((order - 1) * (2 * order - 1)))
+    det = np.clip(np.round(y.real / step).astype(np.int64), 0, order - 1)
+    return int(popcount[labels[sent] ^ labels[det]].sum())
+
+
+@pytest.mark.parametrize("scheme", NON_SILENT, ids=str)
+def test_constellation_table_matches_per_symbol(scheme):
+    sent = np.random.default_rng(5).integers(0, scheme.order, 50_000)
+    points, _scale = _constellation(scheme)
+    assert points[sent].tobytes() == transmitted_per_symbol(scheme, sent).tobytes()
+    assert points.tobytes() == transmitted_per_symbol(scheme, np.arange(scheme.order)).tobytes()
+
+
+@pytest.mark.parametrize("scheme", NON_SILENT, ids=str)
+def test_batches_match_per_symbol_reference(scheme):
+    for target in (0.3, 0.05, 5e-3, 3e-4):
+        gamma = min_snr_for(scheme, target)
+        for seed in (1, 2, 3):
+            rngs = [np.random.default_rng(np.random.SeedSequence((seed, 0))) for _ in range(2)]
+            assert (_simulate_batch(scheme, gamma, 20_000, rngs[0])
+                    == simulate_batch_per_symbol(scheme, gamma, 20_000, rngs[1]))
+
+
+def test_simulate_ber_matches_per_symbol_reference(monkeypatch):
+    configs = [SimConfig(s, g, n, seed) for s in NON_SILENT
+               for g, n, seed in ((0.5, 20_000, 4), (8.0, 260_000, 9))]
+    got = [simulate_ber(c) for c in configs]
+    monkeypatch.setattr(ber_sim, "_simulate_batch", simulate_batch_per_symbol)
+    assert got == [simulate_ber(c) for c in configs]

@@ -2,7 +2,10 @@
 block mode, the batched sweep loader, instance serialization."""
 
 import json
+import math
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from ofdmse import loading
 from ofdmse.channel import SnrGrid, draw_realization, snr_grid, tux_profile
 from ofdmse.loading import (
     Allocation,
@@ -24,6 +28,7 @@ from ofdmse.loading import (
     sweep_total_bits,
 )
 from ofdmse.loading import (
+    _CHUNK,
     _LEVELS,
     _NO_MOVE,
     _ber_table,
@@ -31,6 +36,7 @@ from ofdmse.loading import (
     _dense_candidates,
     _greedy_lockstep,
     _initial_silent,
+    _to_allocation,
 )
 from ofdmse.modulation import (
     CATALOG,
@@ -201,6 +207,16 @@ class TestExhaustiveOracle:
         snr = SnrGrid(gamma=np.ones((12, 7)))
         with pytest.raises(ValueError, match="search space"):
             exhaustive_allocate(snr, prof.grid, 1e-3)
+        # just above the bound: refused before any assignment is enumerated
+        grid = build_profile("fb", 1, 7).grid  # 13^7 > 10^7 assignments
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="search space"):
+                exhaustive_allocate(SnrGrid(gamma=np.ones((1, 7))), grid, 1e-3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_greedy_never_beats_oracle(self):
         rng = np.random.default_rng(21)
@@ -239,6 +255,174 @@ class TestExhaustiveOracle:
                 x = exhaustive_allocate(snr, prof.grid, p_t)
                 assert x.total_bits >= prev
                 prev = x.total_bits
+
+
+# The oracle before it scored bits first: every assignment in enumeration
+# order, in chunks, each scored with a division, kept as the reference that
+# exhaustive_allocate must match bit for bit.
+
+def exhaustive_by_division(mask, cost, p_t, chunk=1 << 17):
+    """Returns (scheme index per position, S, W) of the assignment with the
+    most bits within p_t, then the least average, then the first id."""
+    n = mask.shape[1]
+    options = [np.nonzero(mask[:, p])[0] for p in range(n)]
+    sizes = np.array([o.size for o in options], dtype=np.int64)
+    total = math.prod(int(s) for s in sizes)
+    # mixed-radix digits: position 0 is the most significant, so the first
+    # feasible id found at the best score is also first in position order
+    strides = np.ones(n, dtype=np.int64)
+    strides[:-1] = np.cumprod(sizes[::-1], dtype=np.int64)[::-1][1:]
+    lut = np.zeros((n, int(sizes.max())), dtype=np.int64)
+    for p, opt in enumerate(options):
+        lut[p, : opt.size] = opt
+    cols = np.arange(n)
+    best = (-1, np.inf, 0.0, None)  # (bits, avg, weighted sum, scheme indices)
+    for start in range(0, total, chunk):
+        ids = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        digits = (ids[:, None] // strides[None, :]) % sizes[None, :]
+        sel = lut[cols[None, :], digits]
+        w = CATALOG_BITS[sel].sum(axis=1)
+        weighted = np.ascontiguousarray(cost[sel, cols[None, :]]).sum(axis=1)
+        avg = np.where(w > 0, weighted / np.maximum(w, 1), 0.0)
+        feas = np.nonzero(avg <= p_t)[0]
+        if feas.size == 0:
+            continue
+        w_f = w[feas]
+        top = feas[w_f == w_f.max()]
+        j = top[np.argmin(avg[top])]
+        if int(w[j]) > best[0] or (int(w[j]) == best[0] and float(avg[j]) < best[1]):
+            best = (int(w[j]), float(avg[j]), float(weighted[j]), sel[j].copy())
+    w_best, _avg_best, s_best, sel_best = best
+    return sel_best, s_best, w_best
+
+
+def assert_oracle_matches_reference(snr, grid, p_t):
+    x = exhaustive_allocate(snr, grid, p_t)
+    cost = CATALOG_BITS[:, None] * position_ber_table(snr)
+    idx, s_sum, w_sum = exhaustive_by_division(flat_mask(grid), cost, p_t)
+    ref = _to_allocation(idx, grid.n_f, grid.n_t, s_sum, w_sum)
+    assert x.schemes == ref.schemes
+    assert x.total_bits == ref.total_bits
+    assert x.avg_ber.hex() == ref.avg_ber.hex()
+    return x
+
+
+def level_sizes(grid):
+    """Number of assignments of each bit total, by convolving the positions'
+    bit histograms."""
+    mask = flat_mask(grid)
+    sizes = np.ones(1, dtype=np.int64)
+    for p in range(mask.shape[1]):
+        sizes = np.convolve(sizes, np.bincount(CATALOG_BITS[mask[:, p]]))
+    return sizes
+
+
+@st.composite
+def oracle_problems(draw):
+    """1-6 positions, each allowing a random catalog subset that keeps a
+    silent scheme, with at most about 5000 assignments in all, and p_t
+    log-uniform in (1e-6, 0.49).  Gammas include 0 and 1e300; at 1e300
+    every scheme's BER is 0.0, so equal averages leave the choice to
+    enumeration order, and the positions may repeat the allowed set and
+    gamma of one of the first two."""
+    n = draw(st.integers(1, 6))
+    n_f = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+    cap = int(5000 ** (1 / n))
+    loaded = [i for i, s in enumerate(CATALOG) if not s.silent]
+    sets = [[draw(st.sampled_from(SILENT_ROWS))]
+            + draw(st.lists(st.sampled_from(loaded), unique=True, max_size=cap - 1))
+            for _ in range(n)]
+    gamma = draw(arrays(float, n, elements=st.one_of(
+        st.sampled_from([0.0, 1e300]), st.floats(-2.0, 6.0).map(lambda e: 10.0 ** e))))
+    if n > 1 and draw(st.booleans()):
+        src = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        sets, gamma = [sets[i] for i in src], gamma[src]
+    p_t = 10.0 ** draw(st.floats(-6.0, math.log10(0.49)))
+    n_t = n // n_f
+    # time-major positions: p = l * n_f + k
+    allowed = tuple(tuple(frozenset(CATALOG[i] for i in sets[l * n_f + k]) for l in range(n_t))
+                    for k in range(n_f))
+    grid = ConstraintGrid(allowed, tuple(tuple(Role.DATA for _ in range(n_t)) for _ in range(n_f)))
+    return SnrGrid(gamma=gamma.reshape(n_t, n_f).T), grid, p_t
+
+
+class TestExhaustiveMatchesReference:
+    """The bits-first oracle against the full enumeration: same schemes,
+    total_bits and avg_ber bits."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(problem=oracle_problems(),
+           blocks=st.sampled_from([(1 << 17, 1 << 10), (1, 0), (7, 0), (7, 30), (64, 5)]))
+    def test_random_problems(self, problem, blocks):
+        chunk, merge = blocks
+        with mock.patch.object(loading, "_CHUNK", chunk), mock.patch.object(loading, "_MERGE", merge):
+            assert_oracle_matches_reference(*problem)
+
+    @pytest.mark.parametrize("chunk,merge", [(1, 0), (2, 3), (5, 40), (64, 0)])
+    @pytest.mark.parametrize("name,n_f,n_t", [("fb", 1, 3), ("cm", 2, 2)])
+    def test_small_blocks(self, name, n_f, n_t, chunk, merge):
+        rng = np.random.default_rng(61)
+        grid = build_profile(name, n_f, n_t).grid
+        with mock.patch.object(loading, "_CHUNK", chunk), mock.patch.object(loading, "_MERGE", merge):
+            for db in (0.0, 10.0, 20.0, 40.0):
+                for p_t in (1e-3, 1e-2):
+                    assert_oracle_matches_reference(random_instance(rng, n_f, n_t, db), grid, p_t)
+
+    @pytest.mark.parametrize("merge", [loading._MERGE, 0])
+    def test_ties_go_to_the_first_assignment(self, merge):
+        # every BER is 0.0 at 1e300, so the 16 all-4-bit assignments tie
+        grid = data_grid([[{scheme_from_name("PSK16"), QAM16}] * 2] * 2)
+        snr = SnrGrid(gamma=np.full((2, 2), 1e300))
+        with mock.patch.object(loading, "_MERGE", merge):
+            x = assert_oracle_matches_reference(snr, grid, 1e-3)
+        assert x.total_bits == 16 and x.avg_ber == 0.0
+        assert {str(s) for row in x.schemes for s in row} == {"PSK16"}
+
+    @pytest.mark.parametrize("name,n_f,n_t,snr_db", [
+        ("fb", 2, 3, 0.0), ("fb", 2, 3, 20.0), ("cm", 3, 3, 10.0)])
+    def test_above_one_block(self, name, n_f, n_t, snr_db):
+        grid = build_profile(name, n_f, n_t).grid
+        sizes = level_sizes(grid)
+        assert sizes.sum() > _CHUNK
+        x = assert_oracle_matches_reference(
+            random_instance(np.random.default_rng(5), n_f, n_t, snr_db), grid, 1e-3)
+        if snr_db == 0.0:
+            # the walk scored a level larger than one block before it stopped
+            assert sizes[x.total_bits + 1:].max() > _CHUNK
+
+
+BAD_BER_TABLES = {
+    "column": lambda t: np.zeros((N_SCHEMES, 1)),
+    "row": lambda t: np.zeros((1, t.shape[1])),
+    "transposed": lambda t: t.T,
+    "flat": lambda t: t.ravel(),
+    "stacked": lambda t: t[None],
+    "nan": lambda t: np.where(np.arange(t.size).reshape(t.shape) == 30, np.nan, t),
+    "inf": lambda t: np.where(np.arange(t.size).reshape(t.shape) == 30, np.inf, t),
+    "above_half": lambda t: np.full(t.shape, 0.6),
+    "negative": lambda t: np.where(np.arange(t.size).reshape(t.shape) == 30, -1e-300, t),
+}
+
+
+class TestBerTableValidation:
+    @pytest.mark.parametrize("bad", sorted(BAD_BER_TABLES))
+    @pytest.mark.parametrize("allocate", [greedy_allocate, block_allocate, exhaustive_allocate])
+    def test_malformed_table_is_refused(self, allocate, bad):
+        grid = build_profile("fb").grid
+        snr = random_instance(np.random.default_rng(3), 12, 7, snr_db=10.0)
+        table = BAD_BER_TABLES[bad](position_ber_table(snr))
+        with pytest.raises(ValueError, match="ber_table"):
+            allocate(snr, grid, 1e-3, ber_table=table)
+
+    @pytest.mark.parametrize("allocate", [greedy_allocate, block_allocate, exhaustive_allocate])
+    def test_position_ber_table_is_accepted(self, allocate):
+        for n_f, n_t, snr_db in ((2, 2, 10.0), (2, 2, -30.0), (12, 7, 10.0)):
+            if allocate is exhaustive_allocate and n_f * n_t > 4:
+                continue
+            grid = build_profile("fb", n_f, n_t).grid
+            snr = random_instance(np.random.default_rng(3), n_f, n_t, snr_db)
+            assert (allocate(snr, grid, 1e-3, ber_table=position_ber_table(snr))
+                    == allocate(snr, grid, 1e-3))
 
 
 class TestBlockMode:
