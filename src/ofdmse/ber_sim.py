@@ -4,9 +4,12 @@ Independent empirical route against which the closed-form BER models are
 validated: random bits are Gray-mapped onto the unit-average-energy
 constellation, passed through additive circularly symmetric complex Gaussian
 noise of total variance 1/gamma, and detected by minimum Euclidean distance.
-Each transmitted point is read from a per-scheme table of the constellation,
-built with the per-symbol expressions, so a batch evaluates no complex
-exponential per symbol.
+Each transmitted point and its Gray label are read from per-scheme tables of
+the constellation, built with the per-symbol expressions, so a batch
+evaluates no complex exponential and no label arithmetic per sent symbol.
+The received symbols are held as their exact real and imaginary parts, and
+ASK detection, which reads only the real axis, draws only the real noise
+component.
 """
 
 from __future__ import annotations
@@ -73,31 +76,52 @@ def _constellation(scheme: ModulationScheme) -> tuple[np.ndarray, float]:
     return sym * step, step
 
 
+def _labels(scheme: ModulationScheme) -> np.ndarray:
+    """The Gray label of every symbol index: the symbol's Gray code, and for
+    QAM the Gray codes of its two axis levels side by side."""
+    if scheme.family != ModulationFamily.QAM:
+        return _gray_codes(scheme.order)
+    half_bits = scheme.bits // 2
+    side = 1 << half_bits
+    axis_gray = _gray_codes(side)
+    sym = np.arange(scheme.order)
+    return (axis_gray[sym // side] << half_bits) | axis_gray[sym % side]
+
+
 def _simulate_batch(scheme: ModulationScheme, gamma: float, n: int,
                     rng: np.random.Generator) -> int:
-    """Bit errors over `n` symbols; exact ML detection per constellation geometry."""
+    """Bit errors over `n` symbols; exact ML detection per constellation geometry.
+
+    The received symbol is points[sent] + (a + 1j b) c, with a and b the
+    real and imaginary noise draws and c = sqrt(0.5 / gamma).  Its real
+    part is exactly points.real[sent] + a c and its imaginary part
+    points.imag[sent] + b c, so the batch works on those two real arrays.
+    ASK detection reads only the real part, so an ASK batch never draws b,
+    the generator's last use.
+    """
     order = scheme.order
     k = scheme.bits
-    labels = _gray_codes(order)
     popcount = _bit_error_table(k)
+    labels = _labels(scheme)
     sent = rng.integers(0, order, n)
-    noise = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.sqrt(0.5 / gamma)
     points, scale = _constellation(scheme)
-    y = points[sent] + noise
-    if scheme.family == ModulationFamily.PSK:
-        det = np.mod(np.round(np.angle(y) * order / (2.0 * np.pi)).astype(np.int64), order)
+    c = np.sqrt(0.5 / gamma)
+    y_re = points.real[sent] + rng.standard_normal(n) * c
+    if scheme.family == ModulationFamily.ASK:
+        det = np.clip(np.round(y_re / scale).astype(np.int64), 0, order - 1)
         return int(popcount[labels[sent] ^ labels[det]].sum())
-    if scheme.family == ModulationFamily.QAM:
-        side = 1 << (k // 2)
-        axis_gray = _gray_codes(side)
-        si, sq = sent // side, sent % side
-        di = np.clip(np.round((y.real / scale + side - 1) / 2.0).astype(np.int64), 0, side - 1)
-        dq = np.clip(np.round((y.imag / scale + side - 1) / 2.0).astype(np.int64), 0, side - 1)
-        sent_label = (axis_gray[si] << (k // 2)) | axis_gray[sq]
-        det_label = (axis_gray[di] << (k // 2)) | axis_gray[dq]
-        return int(popcount[sent_label ^ det_label].sum())
-    det = np.clip(np.round(y.real / scale).astype(np.int64), 0, order - 1)
-    return int(popcount[labels[sent] ^ labels[det]].sum())
+    y_im = points.imag[sent] + rng.standard_normal(n) * c
+    if scheme.family == ModulationFamily.PSK:
+        # np.angle(y) is this arctan2
+        det = np.mod(np.round(np.arctan2(y_im, y_re) * order / (2.0 * np.pi)).astype(np.int64),
+                     order)
+        return int(popcount[labels[sent] ^ labels[det]].sum())
+    side = 1 << (k // 2)
+    axis_gray = _gray_codes(side)
+    di = np.clip(np.round((y_re / scale + side - 1) / 2.0).astype(np.int64), 0, side - 1)
+    dq = np.clip(np.round((y_im / scale + side - 1) / 2.0).astype(np.int64), 0, side - 1)
+    det_label = (axis_gray[di] << (k // 2)) | axis_gray[dq]
+    return int(popcount[labels[sent] ^ det_label].sum())
 
 
 def simulate_ber(config: SimConfig) -> tuple[float, float]:

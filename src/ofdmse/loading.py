@@ -38,7 +38,6 @@ from .modulation import (
     ModulationScheme,
     _ber_kernel,
     _checked_gamma,
-    ber,
     scheme_from_name,
 )
 from .systems import ConstraintGrid
@@ -65,15 +64,31 @@ _LEVEL_BITS = np.array([b for b, _rows in _LEVELS])
 _GAINS = np.arange(1, _LEVEL_BITS[-1] + 1)
 
 #: _LEVEL_AT[b] is the index of the level with b bits, or len(_LEVELS) when
-#: no level has that many (an all-_NO_MOVE candidate row).
-_LEVEL_AT = np.full(_GAINS.size + 1, len(_LEVELS), dtype=np.int8)
+#: no level has that many (an all-_NO_MOVE candidate row), for b up to one
+#: past the top gain, which gives the move table its pad class.
+_LEVEL_AT = np.full(_GAINS.size + 2, len(_LEVELS), dtype=np.int8)
 _LEVEL_AT[_LEVEL_BITS] = np.arange(len(_LEVELS))
+
+#: _SLOTS[k, lvl] is the k-th catalog row of level lvl.  Past a level's
+#: last row it repeats the first, which a strictly cheaper test never
+#: prefers, and the sentinel level reads row 0 until it is set to _NO_MOVE.
+_SLOTS = np.array([
+    [rows[k] if k < len(rows) else rows[0] for _b, rows in _LEVELS] + [0]
+    for k in range(max(len(rows) for _b, rows in _LEVELS))
+])
+
+#: After a move of g bits at a position, its gain class c holds what its
+#: class _SHIFT[g, c] held before: c + g, or the all-_NO_MOVE pad class.
+_SHIFT = np.minimum(np.arange(_GAINS.size) + np.arange(_GAINS.size + 1)[:, None], _GAINS.size)
+
+#: _ABOVE[g, c] tells whether class c gains more than g bits.
+_ABOVE = _GAINS > np.arange(_GAINS.size + 1)[:, None]
 
 #: Cost of a move that does not exist.  It is finite, so the difference of
 #: two such entries is 0 and never inf - inf, and far above any bits x BER.
 _NO_MOVE = 2.0 ** 900
 
-_SILENT_ROWS = tuple(i for i, s in enumerate(CATALOG) if s.silent)
+_SILENT_ROWS = np.array([i for i, s in enumerate(CATALOG) if s.silent])
 
 
 @dataclass(frozen=True)
@@ -128,24 +143,33 @@ def _ber_table(gamma: np.ndarray) -> np.ndarray:
 
 def evaluate_avg_ber(schemes, snr: SnrGrid) -> float:
     """Bit-weighted mean instantaneous BER of an assignment:
-    sum(bits * ber) / sum(bits) over the non-silent positions, with one ber
-    call per scheme over the gammas of its positions."""
+    sum(bits * ber) / sum(bits) over the non-silent positions, with one BER
+    kernel call per scheme over the gammas of its positions, which are
+    checked together as ber checks them.  Positions are first grouped by
+    scheme object, which hashes no dataclass, and then the few groups of
+    equal schemes are merged; each BER is elementwise, so the grouping does
+    not change a float."""
     gamma = np.asarray(snr.gamma, dtype=float)
     n_f, n_t = gamma.shape
     if len(schemes) != n_f or any(len(row) != n_t for row in schemes):
         raise ValueError("scheme grid shape does not match the SNR grid")
-    positions = {}
+    by_object = {}
     for k, row in enumerate(schemes):
         for l, s in enumerate(row):
-            if not s.silent:
-                positions.setdefault(s, []).append(l * n_f + k)
+            by_object.setdefault(id(s), [s]).append(l * n_f + k)
+    positions = {}
+    for s, *at in by_object.values():
+        if not s.silent:
+            positions.setdefault(s, []).extend(at)
     if not positions:
         return 0.0
     flat = _flat_gamma(snr)
+    positions = {s: np.array(at) for s, at in positions.items()}
+    _checked_gamma(flat[np.concatenate(tuple(positions.values()))])
     weighted = np.zeros(n_f * n_t)
     for s, at in positions.items():
-        weighted[at] = s.bits * ber(s, flat[at])
-    total_bits = sum(s.bits * len(at) for s, at in positions.items())
+        weighted[at] = s.bits * _ber_kernel(s, flat[at])
+    total_bits = sum(s.bits * at.size for s, at in positions.items())
     return float(np.sum(weighted) / total_bits)
 
 
@@ -156,19 +180,17 @@ def flat_mask(constraints: ConstraintGrid) -> np.ndarray:
 
 
 def _initial_silent(mask) -> np.ndarray:
-    init = np.full(mask.shape[1], -1)
-    for row in reversed(_SILENT_ROWS):
-        init = np.where(mask[row], row, init)
-    if np.any(init < 0):
+    """The first allowed silent row at each position: (..., n_schemes, N)
+    masks give (..., N) catalog rows."""
+    allowed = mask[..., _SILENT_ROWS, :]
+    if not allowed.any(axis=-2).all():
         raise ValueError("a position has no order-1 scheme to fall back to")
-    return init
+    return _SILENT_ROWS[allowed.argmax(axis=-2)]
 
 
 def _to_allocation(idx_flat, n_f, n_t, s_sum, w_sum) -> Allocation:
-    schemes = tuple(
-        tuple(CATALOG[idx_flat[l * n_f + k]] for l in range(n_t))
-        for k in range(n_f)
-    )
+    rows = np.asarray(idx_flat).reshape(n_t, n_f).T.tolist()
+    schemes = tuple(tuple(map(CATALOG.__getitem__, row)) for row in rows)
     avg = s_sum / w_sum if w_sum else 0.0
     return Allocation(schemes=schemes, total_bits=int(w_sum), avg_ber=float(avg))
 
@@ -229,20 +251,19 @@ def _dense_candidates(mask, cost):
     the earlier catalog row on a tie, and its cost; a level with no allowed
     scheme gets its first row and _NO_MOVE.  The last level
     is an all-_NO_MOVE sentinel that _LEVEL_AT gives for bit counts no level
-    has; its scheme is left for the caller.
+    has; its scheme (row 0) is left for the caller.  Each _SLOTS row gathers
+    one catalog row of every level at once.
     """
-    lead = np.broadcast_shapes(mask.shape[:-2], cost.shape[:-2])
-    shape = lead + (len(_LEVELS) + 1, mask.shape[-1])
-    cand_idx = np.zeros(shape, dtype=np.int8)
-    cand_cost = np.full(shape, _NO_MOVE)
-    for lvl, (_bits, rows) in enumerate(_LEVELS):
-        level_idx, level_cost = cand_idx[..., lvl, :], cand_cost[..., lvl, :]
-        level_idx[...] = rows[0]
-        for row in rows:
-            # strictly cheaper only: a tie keeps the earlier row, as argmin
-            better = mask[..., row, :] & (cost[..., row, :] < level_cost)
-            np.copyto(level_cost, cost[..., row, :], where=better)
-            np.copyto(level_idx, row, where=better)
+    cand_cost = np.where(mask[..., _SLOTS[0], :], cost[..., _SLOTS[0], :], _NO_MOVE)
+    cand_idx = np.empty(cand_cost.shape, dtype=np.int8)
+    cand_idx[...] = _SLOTS[0, :, None]
+    for slot in _SLOTS[1:]:
+        # strictly cheaper only: a tie keeps the earlier row, as argmin
+        other = np.where(mask[..., slot, :], cost[..., slot, :], _NO_MOVE)
+        better = other < cand_cost
+        np.copyto(cand_cost, other, where=better)
+        np.copyto(cand_idx, slot[:, None], where=better)
+    cand_cost[..., -1, :] = _NO_MOVE
     return cand_idx, cand_cost
 
 
@@ -254,13 +275,15 @@ def _greedy_lockstep(mask, cost, p_t):
     (greedy_allocate calls it on one grid, with no leading axes).  Every grid
     still in play advances in the same iteration, and each grid ends
     bit-identical to the reference serial loop in tests/test_loading.py,
-    which commits one move per iteration.  A grid leaves the batch when it
-    has no feasible move.
+    which commits one move per iteration.  A grid leaves the batch in the
+    step that finds it no feasible move, before any filter runs on it, and
+    the loop ends when no grid is left.
 
     Moves are scored per gain class: by_gain[row, g - 1, p] is the cost of
     the move at p that gains g bits (_NO_MOVE if no level has that many bits
-    or the guard rejected it).  A committed move of g bits shifts its
-    position's classes down by g, and a rejected one marks its entry.  The
+    or the guard rejected it), and a last pad class is always _NO_MOVE.  A
+    committed move of g bits shifts its position's classes down by g, with
+    the pad filling the top, and a rejected one marks its entry.  The
     numerators (S + cost) - cur_cost are the serial loop's; division by the
     positive W + g is monotone under correct rounding, so a class has a
     feasible move iff its smallest numerator does.  The greatest feasible
@@ -271,7 +294,8 @@ def _greedy_lockstep(mask, cost, p_t):
     delta = 8 n 2^-53 (p_t (W + g n) + 2 max cost) proves that the serial
     loop would commit exactly those J moves next, in some order.  delta
     bounds every rounding the serial loop makes over up to n moves.  With
-    the keys sorted and E_j = k_1 + ... + k_j - p_t g j, the filter asks:
+    the keys sorted and E_j = k_1 + ... + k_j - p_t g j (E_0 = 0), the
+    filter asks:
       (a) each prefix j <= J keeps the average delta inside the target,
           S + E_j - p_t W <= -delta, so the serial screen and the guard
           pass every move;
@@ -282,8 +306,9 @@ def _greedy_lockstep(mask, cost, p_t):
     A member's moves after its own move need no test of their own: its
     class-h key is then its class-(g + h) key now less its own key, and (a)
     and (c) on that class-(g + h) key keep its class-g key above k_J and
-    its higher classes infeasible.  The new state's full row sum does not
-    depend on the order of the moves, so S after the step is the serial
+    its higher classes infeasible.  By (b) the J moves are exactly the
+    positions whose key is at most k_J.  The new state's full row sum does
+    not depend on the order of the moves, so S after the step is the serial
     loop's last full recompute.  A grid for which no J >= 1 passes takes
     the single argmin move under the full-recompute guard: a row-wise sum
     over a C-contiguous array is bit-identical to the 1-D np.sum.  The
@@ -292,20 +317,23 @@ def _greedy_lockstep(mask, cost, p_t):
     cand_idx, by_gain = _dense_candidates(mask, cost)
     lead, (levels, n) = cand_idx.shape[:-2], cand_idx.shape[-2:]
     r = math.prod(lead)
+    cand_idx[..., -1, :] = _initial_silent(mask)
     cand_idx = cand_idx.reshape(r, levels, n)
-    by_gain = by_gain.reshape(r, levels, n).take(_LEVEL_AT[_GAINS], axis=1)
-    silent = np.stack([_initial_silent(m) for m in mask.reshape((-1,) + mask.shape[-2:])])
-    silent = silent.reshape(mask.shape[:-2] + (n,))
-    cand_idx[:, -1] = np.broadcast_to(silent, lead + (n,)).reshape(r, n)
-    two_cmax = 2.0 * np.broadcast_to(cost.max(axis=(-2, -1)), lead).reshape(r)
+    by_gain = by_gain.reshape(r, levels, n).take(_LEVEL_AT[1:], axis=1)
+    two_cmax = np.multiply(cost.max(axis=(-2, -1)), 2.0, out=np.empty(lead)).reshape(r)
     out_idx = np.empty((r, n), dtype=np.int8)
     out_s = np.zeros(r)
     out_w = np.zeros(r, dtype=np.int64)
     rows = np.arange(r)
+    at = np.arange(r)  # at[:m] indexes the m grids still in the batch
     cur_bits = np.zeros((r, n), dtype=np.int8)
     cur_cost = np.zeros((r, n))
-    s_sum, w_sum = np.zeros(r), np.zeros(r, dtype=np.int32)
+    s_sum, w_sum = np.zeros(r), np.zeros(r, dtype=np.int64)
     num_buf = np.empty_like(by_gain)
+    e_buf = np.zeros((r, n + 1))
+    steps = np.arange(n + 1)
+    # p_t g j for every gain g and count j of moves, as E_j subtracts it
+    pg_steps = (p_t * np.arange(_GAINS.size + 1))[:, None] * steps
     pos = np.arange(n)
     # each step of a grid commits at least one move (at most _GAINS.size * n
     # in all, as each adds bits), rejects a candidate for good (at most
@@ -315,109 +343,104 @@ def _greedy_lockstep(mask, cost, p_t):
         steps_left -= 1
         if steps_left < 0:
             raise RuntimeError("lockstep greedy exceeded its step bound")
-        num = num_buf[: rows.size]
-        np.add(by_gain, s_sum[:, None, None], out=num)
+        num = np.add(by_gain[:, :-1], s_sum[:, None, None], out=num_buf[: rows.size, :-1])
         num -= cur_cost[:, None, :]
-        w_new = w_sum[:, None] + _GAINS
         low = num.min(axis=2)
-        feasible = low / w_new <= p_t
-        gi = _GAINS.size - 1 - np.argmax(feasible[:, ::-1], axis=1)
-        bg = by_gain[np.arange(rows.size), gi]
-        order, n_set = _set_size(bg, cur_cost, low, s_sum, w_sum, gi, p_t, two_cmax[rows])
-        live = feasible.any(axis=1)
-        if not live.all():
+        # the greatest gain with a feasible move, 0 where there is none
+        g = ((low / (w_sum[:, None] + _GAINS) <= p_t) * _GAINS).max(axis=1)
+        if np.count_nonzero(g) < rows.size:
             # a grid without a feasible move is final; drop it from the batch
+            live = g > 0
             done = ~live
             out_s[rows[done]], out_w[rows[done]] = s_sum[done], w_sum[done]
             out_idx[rows[done]] = cand_idx[rows[done, None], _LEVEL_AT[cur_bits[done]], pos]
-            rows, s_sum, w_sum, gi, bg, order, n_set = (
-                a[live] for a in (rows, s_sum, w_sum, gi, bg, order, n_set))
-            cur_bits, cur_cost = cur_bits[live], cur_cost[live]
+            if not live.any():
+                break
+            rows, s_sum, w_sum, two_cmax, low, g, cur_bits, cur_cost = (
+                a[live] for a in (rows, s_sum, w_sum, two_cmax, low, g, cur_bits, cur_cost))
             # the spent numerator buffer takes the table's live rows; mode
             # "clip" writes straight into it, and every index is valid
             by_gain, num_buf = by_gain.take(np.flatnonzero(live), axis=0, mode="clip",
                                             out=num_buf[: rows.size]), by_gain
-        single = n_set == 0
-        if single.any():
+        here = at[: rows.size]
+        bg = by_gain[here, g - 1]
+        keys = bg - cur_cost
+        ks = keys.copy()
+        ks.sort(axis=1)
+        n_set = _set_size(ks, low, s_sum, w_sum, g, p_t, two_cmax, e_buf[: rows.size],
+                          steps, pg_steps)
+        # by (b) the J smallest keys are exactly those at most k_J
+        commit = keys <= ks[here, n_set - 1][:, None]
+        if np.count_nonzero(n_set) < rows.size:
             # no set passed the filter: the single move is the position of
             # least resulting average in class g, first position on ties
+            single = n_set == 0
             avg_new = bg[single] + s_sum[single, None]
             avg_new -= cur_cost[single]
-            avg_new /= (w_sum[single] + gi[single] + 1)[:, None]
-            order[single, 0] = np.argmin(avg_new, axis=1)
-
-        good, s_full, w_full = _commit(cur_bits, cur_cost, by_gain, bg, gi, order, n_set, p_t)
-        s_sum[good], w_sum[good] = s_full[good], w_full[good]
+            avg_new /= (w_sum[single] + g[single])[:, None]
+            commit[single] = pos == np.argmin(avg_new, axis=1)[:, None]
+        cur_cost, s_sum, w_sum = _commit(cur_bits, cur_cost, by_gain, bg, g, commit, n_set,
+                                         s_sum, w_sum, p_t)
     return out_idx.reshape(lead + (n,)), out_s.reshape(lead), out_w.reshape(lead)
 
 
-def _set_size(bg, cur_cost, low, s_sum, w_sum, gi, p_t, two_cmax):
+def _set_size(ks, low, s_sum, w_sum, g, p_t, two_cmax, e, steps, pg_steps):
     """The set step's filter (see _greedy_lockstep) for a batch of grids.
 
-    bg is the cost of each class-g move, low the step's smallest numerator
-    per class, two_cmax twice the largest cost of the grid.  Returns the
-    positions in ascending order of their class-g keys and the number J of
-    them that the serial loop provably commits next, 0 where the filter
-    cannot decide.
+    ks holds each grid's class-g keys in ascending order, low the step's
+    smallest numerator per class, two_cmax twice the largest cost of the
+    grid; e is a (grids, N + 1) buffer whose first column is 0, steps is
+    0 .. N and pg_steps[g, j] is p_t g j.  Returns the number J of moves
+    that the serial loop provably commits next, 0 where the filter cannot
+    decide.
     """
-    rows, n = bg.shape
-    g = gi + 1
-    steps = np.arange(1, n + 1)
-    ks = bg - cur_cost
-    order = np.argsort(ks, axis=1)
-    offset = (np.arange(rows) * n)[:, None]
-    order += offset
-    ks = ks.take(order)
-    order -= offset
+    n = ks.shape[1]
     delta = 8 * n * 2.0 ** -53 * (p_t * (w_sum + g * n) + two_cmax)
     room = p_t * w_sum - s_sum
     # smallest key less p_t h of any class h above g, over every position
-    above = np.where(_GAINS > g[:, None], low - p_t * _GAINS, _NO_MOVE).min(axis=1) - s_sum
-    gap = ks[:, 1:] > ks[:, :-1] + delta[:, None]
-    e = np.cumsum(ks, axis=1, out=ks)
-    e -= (p_t * g)[:, None] * steps
-    ok = e <= (room - delta)[:, None]                                   # (a)
-    ok &= (above > room + delta)[:, None]                               # (c), state 0
-    ok[:, 1:] &= e[:, :-1] > (room + delta - above)[:, None]            # (c), states 1 .. J - 1
+    above = np.minimum.reduce(low - p_t * _GAINS, axis=1, initial=_NO_MOVE, where=_ABOVE[g])
+    above -= s_sum
+    ks.cumsum(axis=1, out=e[:, 1:])
+    e -= pg_steps[g]                                                    # E_0 .. E_n
+    ok = e[:, 1:] <= (room - delta)[:, None]                            # (a)
+    ok &= e[:, :-1] > (room + delta - above)[:, None]                   # (c), states 0 .. J - 1
     ok = np.logical_and.accumulate(ok, axis=1, out=ok)
-    ok[:, :-1] &= gap                                                   # (b)
-    return order, (ok * steps).max(axis=1)
+    ok[:, :-1] &= ks[:, 1:] > ks[:, :-1] + delta[:, None]               # (b)
+    return (ok * steps[1:]).max(axis=1)
 
 
-def _commit(cur_bits, cur_cost, by_gain, bg, gi, order, n_set, p_t):
-    """Commit, in place, the first n_set[row] positions of order in each
-    grid, or only its first where n_set is 0 (a single move), each gaining
-    gi + 1 bits at cost bg.  The guard rejects a single move whose full
-    recompute exceeds p_t; a set cannot fail it.  Returns (committed, S, W)
-    per grid.
+def _commit(cur_bits, cur_cost, by_gain, bg, g, commit, n_set, s_sum, w_sum, p_t):
+    """Commit the class-g moves at the positions where commit is set: n_set
+    of them in each grid, or one where n_set is 0 (a single move), each
+    gaining g bits at cost bg.  The guard rejects a single move whose full
+    recompute exceeds p_t; a set cannot fail it.  cur_bits, by_gain and
+    commit change in place; returns the new (cur_cost, S, W) per grid.
+
+    The new costs are one select over the whole (grids, N) state, and W
+    grows by g per move.  A committed move of g bits shifts its position's
+    gain classes down by g in one gather through _SHIFT[g], whatever the
+    mix of gains in the batch.
     """
-    single = n_set == 0
-    ti, rank = np.nonzero(np.arange(order.shape[1]) < np.maximum(n_set, 1)[:, None])
-    tp = order[ti, rank]
-    tg = gi[ti]
-    old_bits, old_cost = cur_bits[ti, tp], cur_cost[ti, tp]
-    cur_bits[ti, tp] = old_bits + (tg + 1)
-    cur_cost[ti, tp] = bg[ti, tp]
-    s_full = cur_cost.sum(axis=1)
-    w_full = cur_bits.sum(axis=1, dtype=np.int32)
+    new_cost = np.where(commit, bg, cur_cost)
+    s_full = new_cost.sum(axis=1)
+    w_full = w_sum + g * np.maximum(n_set, 1)
     good = s_full / w_full <= p_t
-    if not good.all():
+    if np.count_nonzero(good) < good.size:
         # the incremental screen was optimistic by rounding; drop the move
         bad = ~good
-        if not single[bad].all():
+        if n_set[bad].any():
             raise RuntimeError("lockstep greedy set step failed the guard")
-        rej = bad[ti]
-        cur_bits[ti[rej], tp[rej]] = old_bits[rej]
-        cur_cost[ti[rej], tp[rej]] = old_cost[rej]
-        by_gain[ti[rej], tg[rej], tp[rej]] = _NO_MOVE
-        ti, tp, tg = ti[~rej], tp[~rej], tg[~rej]
+        t, q = (commit & bad[:, None]).nonzero()
+        new_cost[t, q] = cur_cost[t, q]
+        commit[t, q] = False
+        by_gain[t, g[t] - 1, q] = _NO_MOVE
+        s_full[bad], w_full[bad] = s_sum[bad], w_sum[bad]
+    np.add(cur_bits, g[:, None], out=cur_bits, where=commit)
     # a move of g bits shifts its position's gain classes down by g
-    for g in np.unique(tg) + 1:
-        moved = tg == g - 1
-        t, q = ti[moved], tp[moved]
-        by_gain[t, :-g, q] = by_gain[t, g:, q]
-        by_gain[t, -g:, q] = _NO_MOVE
-    return good, s_full, w_full
+    t, q = commit.nonzero()
+    classes = by_gain[t, :, q]
+    by_gain[t, :-1, q] = classes[np.arange(t.size)[:, None], _SHIFT[g[t]]]
+    return new_cost, s_full, w_full
 
 
 def sweep_total_bits(grids, snrs, p_t: float, granularity: str) -> np.ndarray:

@@ -233,9 +233,9 @@ def _ask_gray_ber(order: int, gamma: np.ndarray) -> np.ndarray:
 def _checked_gamma(gamma) -> np.ndarray:
     """`gamma` as a float array; raises ValueError unless finite and non-negative."""
     g = np.asarray(gamma, dtype=float)
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise ValueError("gamma must be finite")
-    if np.any(g < 0.0):
+    if (g < 0.0).any():
         raise ValueError("gamma must be non-negative")
     return g
 

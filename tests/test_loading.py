@@ -473,6 +473,29 @@ GUARD_GAMMAS = [229.771, 5.22527, 426.042, 1.49866, 10.1942, 2.82383, 22.4398,
 GUARD_P_T = 0.0005996757725321551
 
 
+#: Three 16-position grids that, batched after the all-schemes grid on
+#: GUARD_GAMMAS at GUARD_P_T, meet in one lockstep step: the guard rejects
+#: the first grid's single 1-bit move, the others commit a set of 4-bit
+#: moves, a set of 2-bit moves and a single 4-bit move.  Bit i of a mask
+#: entry allows catalog row i at that position.
+MIXED_GAMMAS = [
+    [5174.0, 319.4, 132.3, 15.84, 11.83, 1131.0, 19.76, 4896.0, 22020.0, 0.5852, 593.8,
+     117.2, 6.956, 1042.0, 32.92, 954.9],
+    [7.704, 163.2, 2.236, 3.348, 20.86, 1638.0, 7776.0, 565.9, 5.545, 16960.0, 28.47,
+     53.28, 1494.0, 934.6, 223.8, 142.5],
+    [3237.0, 38.48, 276.1, 49.6, 1584.0, 11.84, 11690.0, 136.8, 10.41, 334.4, 1216.0,
+     2593.0, 193.7, 547.1, 2356.0, 10.84],
+]
+MIXED_MASKS = [
+    [0x1f55, 0x133b, 0x12d7, 0xaf9, 0x35f, 0x1e15, 0x1611, 0xa91, 0x1771, 0x1331, 0xf31,
+     0xe15, 0x797, 0x333, 0x311, 0x611],
+    [0x1fff, 0x1ef5, 0x17ff, 0x1af3, 0x17ff, 0xfbf, 0x17f9, 0x1f7f, 0x1bff, 0x177f, 0x1739,
+     0x1e7b, 0xfb7, 0x165d, 0x16f1, 0x1fd7],
+    [0x2b7, 0x12d5, 0x3d7, 0xfbf, 0xbd3, 0x1a1f, 0x1af7, 0x1fd3, 0x1ed3, 0xebf, 0x31f,
+     0x37f, 0x17f7, 0xbb3, 0x1755, 0x179b],
+]
+
+
 #: catalog rows grouped by bits per symbol, silent rows left out
 BIT_LEVELS = [[i for i, s in enumerate(CATALOG) if s.bits == b] for b in (1, 2, 3, 4, 6)]
 
@@ -638,6 +661,26 @@ class TestLockstep:
         mask = np.ones((4, N_SCHEMES, gamma.size), dtype=bool)
         mask[1, 9:] = False  # no QAM on the second grid
         assert_lockstep_matches_core(mask, rows, GUARD_P_T)
+
+    def test_matches_serial_core_through_mixed_step(self):
+        # a commit that mixes gain classes, sets, a single move and a guard
+        # rejection in one step, so the class shift of every kind is covered
+        gamma = np.array([GUARD_GAMMAS] + MIXED_GAMMAS)
+        entries = np.array([[(1 << N_SCHEMES) - 1] * gamma.shape[1]] + MIXED_MASKS)
+        mask = (entries[:, None, :] >> np.arange(N_SCHEMES)[:, None]) & 1 == 1
+        real_commit, steps = loading._commit, []
+
+        def recording(cur_bits, cur_cost, by_gain, bg, g, commit, n_set, s_sum, w_sum, p_t):
+            before = g.copy(), n_set.copy(), w_sum.copy()
+            out = real_commit(cur_bits, cur_cost, by_gain, bg, g, commit, n_set, s_sum, w_sum, p_t)
+            steps.append(before + (out[2],))
+            return out
+
+        with mock.patch.object(loading, "_commit", recording):
+            assert_lockstep_matches_core(mask, gamma, GUARD_P_T)
+        assert any(np.unique(g).size > 1 and (n_set > 1).any()
+                   and ((n_set == 0) & (w_full > w)).any() and (w_full == w).any()
+                   for g, n_set, w, w_full in steps)
 
     @pytest.mark.parametrize("granularity", ["subcarrier", "block"])
     def test_sweep_totals_do_not_depend_on_batch(self, granularity):
