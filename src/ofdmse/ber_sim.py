@@ -14,6 +14,7 @@ component.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,12 +37,19 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_symbols", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.scheme.silent:
             raise ValueError("cannot simulate the silent order")
         if not (self.gamma > 0.0 and np.isfinite(self.gamma)):
             raise ValueError(f"gamma must be positive and finite, got {self.gamma!r}")
         if self.n_symbols < MIN_SYMBOLS:
             raise ValueError(f"n_symbols must be >= {MIN_SYMBOLS}, got {self.n_symbols}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 def _gray_codes(n: int) -> np.ndarray:

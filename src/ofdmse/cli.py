@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .ber_sim import SimConfig, simulate_ber
-from .channel import draw_realization, load_channel_profile, snr_grid, tux_profile
+from .channel import draw_realization, load_channel_profile, tux_profile
 from .loading import sweep_total_bits
 from .metrics import SweepPoint, aggregate, eta_r
 from .modulation import CATALOG, ber, min_snr_for
@@ -165,18 +165,21 @@ def _sweep_chunk(cfg, chan, grids, lo, hi):
     loader's totals do not depend on which draws share a call, so neither
     the batching nor the split shows in the output.
     """
-    noise_vars = [_noise_var(s) for s in cfg.snr_db]
+    noise_vars = np.array([_noise_var(s) for s in cfg.snr_db])
     batch = DRAWS_PER_CALL if cfg.granularity == "subcarrier" else 1
     out = np.zeros((len(cfg.p_t), len(cfg.snr_db), len(grids), hi - lo), dtype=np.int64)
     for pt_i, p_t in enumerate(cfg.p_t):
         for first in range(lo, hi, batch):
             trials = range(first, min(first + batch, hi))
-            snrs = []
+            gammas = []
             for trial in trials:
                 rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, pt_i, trial)))
-                real = draw_realization(chan, cfg.n_f, cfg.n_t, rng, n_fft=cfg.n_fft)
-                snrs += [snr_grid(real, noise_var) for noise_var in noise_vars]
-            bits = sweep_total_bits(grids, snrs, p_t, cfg.granularity)
+                gains = draw_realization(chan, cfg.n_f, cfg.n_t, rng, n_fft=cfg.n_fft).gains
+                if not np.isfinite(gains).all():
+                    raise ValueError("channel gains must be finite")
+                # every SNR point's grid at once, with snr_grid's arithmetic
+                gammas.append(np.abs(gains) ** 2 / noise_vars[:, None, None])
+            bits = sweep_total_bits(grids, np.concatenate(gammas), p_t, cfg.granularity)
             bits = bits.reshape(len(trials), len(cfg.snr_db), len(grids))
             out[pt_i, :, :, first - lo:first - lo + len(trials)] = bits.transpose(1, 2, 0)
     return out

@@ -15,7 +15,9 @@ Three solvers are provided:
 sweep_total_bits gives the greedy or block bit totals of every (SNR point,
 system) pair of a few channel draws in one batched pass, for the sweep.
 There is one greedy core, _greedy_lockstep: the sweep runs it on a batch of
-grids, and greedy_allocate is the same core at batch 1.
+grids, and greedy_allocate is the same core at batch 1.  The single-grid
+solvers and position_ber_table keep the BER table of the most recent grid,
+so consecutive calls on one grid, evaluate_avg_ber included, share it.
 
 Positions are ordered time-major, pos = l * n_f + k, and all tie-breaks are
 total orders, so every solver is deterministic.
@@ -34,6 +36,7 @@ from .channel import SnrGrid
 from .modulation import (
     CATALOG,
     CATALOG_BITS,
+    CATALOG_INDEX,
     N_SCHEMES,
     ModulationScheme,
     _ber_kernel,
@@ -124,9 +127,40 @@ def position_ber_table(snr: SnrGrid) -> np.ndarray:
 
     Returns shape (n_schemes, n_f * n_t), time-major positions; silent rows
     are zero.  Computing this once and passing it to the allocators lets
-    several constraint grids share one SNR draw cheaply.
+    several constraint grids share one SNR draw cheaply.  The table comes
+    from the memo of the most recent grid (see _grid_table), so calls on
+    one grid compute it once; the array returned is the caller's own copy.
     """
-    return _ber_table(_flat_gamma(snr))
+    return _grid_table(_flat_gamma(snr)).copy()
+
+
+#: The BER table of the most recent grid: (the bytes of its flat gammas,
+#: its read-only _ber_table), or (None, None).  One entry, 13 x 8 bytes per
+#: position plus the 8-byte key per position; one tuple is read and written
+#: whole, so a concurrent caller sees an entire entry or recomputes.
+_memo = (None, None)
+
+
+def _cached_table(flat: np.ndarray):
+    """The memo's table if it holds these flat gammas, byte for byte, else None."""
+    key, table = _memo
+    return table if flat.tobytes() == key else None
+
+
+def _grid_table(flat: np.ndarray) -> np.ndarray:
+    """_ber_table of one grid's flat gammas, read-only, through the memo.
+
+    The table depends only on the flat gammas, and _ber_kernel is
+    elementwise, so a hit gives the bytes a fresh table would.  A grid
+    whose gammas fail the check raises and leaves the memo as it was.
+    """
+    global _memo
+    table = _cached_table(flat)
+    if table is None:
+        table = _ber_table(flat)
+        table.flags.writeable = False
+        _memo = (flat.tobytes(), table)
+    return table
 
 
 def _ber_table(gamma: np.ndarray) -> np.ndarray:
@@ -143,12 +177,14 @@ def _ber_table(gamma: np.ndarray) -> np.ndarray:
 
 def evaluate_avg_ber(schemes, snr: SnrGrid) -> float:
     """Bit-weighted mean instantaneous BER of an assignment:
-    sum(bits * ber) / sum(bits) over the non-silent positions, with one BER
-    kernel call per scheme over the gammas of its positions, which are
-    checked together as ber checks them.  Positions are first grouped by
-    scheme object, which hashes no dataclass, and then the few groups of
-    equal schemes are merged; each BER is elementwise, so the grouping does
-    not change a float."""
+    sum(bits * ber) / sum(bits) over the non-silent positions.  Positions
+    are first grouped by scheme object, which hashes no dataclass, and then
+    the few groups of equal schemes are merged.  When the memo holds this
+    grid's BER table (an allocator or position_ber_table ran on it last),
+    each BER is gathered from it; otherwise there is one BER kernel call
+    per scheme over the gammas of its positions, which are checked together
+    as ber checks them, so gammas at silent positions are never checked.
+    Each BER is elementwise, so neither route nor grouping changes a float."""
     gamma = np.asarray(snr.gamma, dtype=float)
     n_f, n_t = gamma.shape
     if len(schemes) != n_f or any(len(row) != n_t for row in schemes):
@@ -165,10 +201,13 @@ def evaluate_avg_ber(schemes, snr: SnrGrid) -> float:
         return 0.0
     flat = _flat_gamma(snr)
     positions = {s: np.array(at) for s, at in positions.items()}
-    _checked_gamma(flat[np.concatenate(tuple(positions.values()))])
+    table = _cached_table(flat)
+    if table is None:
+        _checked_gamma(flat[np.concatenate(tuple(positions.values()))])
     weighted = np.zeros(n_f * n_t)
     for s, at in positions.items():
-        weighted[at] = s.bits * _ber_kernel(s, flat[at])
+        ber = _ber_kernel(s, flat[at]) if table is None else table[CATALOG_INDEX[s], at]
+        weighted[at] = s.bits * ber
     total_bits = sum(s.bits * at.size for s, at in positions.items())
     return float(np.sum(weighted) / total_bits)
 
@@ -196,7 +235,9 @@ def _to_allocation(idx_flat, n_f, n_t, s_sum, w_sum) -> Allocation:
 
 
 def _one_grid(snr: SnrGrid, constraints: ConstraintGrid, p_t: float, ber_table):
-    """Check a single-grid call; returns its flat mask and bits x BER cost."""
+    """Check a single-grid call; returns its flat mask and bits x BER cost.
+    Without a ber_table the grid's table comes through the memo; a passed
+    table is checked and never enters it."""
     gamma = np.asarray(snr.gamma, dtype=float)
     if gamma.shape != (constraints.n_f, constraints.n_t):
         raise ValueError(
@@ -206,7 +247,7 @@ def _one_grid(snr: SnrGrid, constraints: ConstraintGrid, p_t: float, ber_table):
     if not 0.0 < p_t < 0.5:
         raise ValueError(f"p_t must lie in (0, 0.5), got {p_t!r}")
     if ber_table is None:
-        ber_table = position_ber_table(snr)
+        ber_table = _grid_table(_flat_gamma(snr))
     else:
         # a broadcastable table of the wrong shape would load every position
         ber_table = np.asarray(ber_table, dtype=float)
@@ -443,19 +484,22 @@ def _commit(cur_bits, cur_cost, by_gain, bg, g, commit, n_set, s_sum, w_sum, p_t
     return new_cost, s_full, w_full
 
 
-def sweep_total_bits(grids, snrs, p_t: float, granularity: str) -> np.ndarray:
+def sweep_total_bits(grids, gammas, p_t: float, granularity: str) -> np.ndarray:
     """Bit totals of every (SNR grid, constraint grid) pair.
 
-    Returns int64 (len(snrs), len(grids)): the total_bits greedy_allocate
-    ("subcarrier" granularity) or block_allocate ("block") would give for
-    each pair.  The SNR grids may come from one channel draw or several;
-    each row depends only on its own SNR grid.  One BER kernel call per
-    scheme covers every SNR grid, and one batched call of either loader
-    core scores every pair.  The SNR grids must share the constraint grids'
-    shape, and p_t must lie in (0, 0.5).
+    gammas is an (S, n_f, n_t) stack of SNR grids' gamma arrays.  Returns
+    int64 (S, len(grids)): the total_bits greedy_allocate ("subcarrier"
+    granularity) or block_allocate ("block") would give for each pair.  The
+    SNR grids may come from one channel draw or several; each row depends
+    only on its own SNR grid.  One BER kernel call per scheme covers every
+    SNR grid, and one batched call of either loader core scores every pair.
+    The SNR grids must share the constraint grids' shape, and p_t must lie
+    in (0, 0.5).  The sweep's grids are all new, so this bypasses the memo.
     """
     masks = np.stack([flat_mask(g) for g in grids])
-    cost = _ber_table(np.stack([_flat_gamma(s) for s in snrs]))
+    gammas = np.asarray(gammas, dtype=float)
+    # a C-order copy of each grid flattened time-major, as _flat_gamma
+    cost = _ber_table(gammas.transpose(0, 2, 1).reshape(len(gammas), -1))
     cost *= CATALOG_BITS[:, None]
     core = _greedy_lockstep if granularity == "subcarrier" else _block_core
     return core(masks[None], cost[:, None], p_t)[2]

@@ -40,6 +40,27 @@ def test_config_validation():
         SimConfig(bpsk, 1.0, n_symbols=MIN_SYMBOLS - 1)
 
 
+@pytest.mark.parametrize("field,value", [
+    ("n_symbols", 20000.0), ("n_symbols", True), ("n_symbols", "20000"),
+    ("seed", 1.0), ("seed", False), ("seed", None)])
+def test_config_refuses_non_integer_fields(field, value):
+    # a float n_symbols used to fail inside rng.integers, far from the config
+    with pytest.raises(TypeError, match=f"{field} must be an integer, got {value!r}"):
+        SimConfig(ModulationScheme(PSK, 2), 10.0, **{field: value})
+
+
+def test_config_refuses_negative_seed_by_name():
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        SimConfig(ModulationScheme(PSK, 2), 10.0, MIN_SYMBOLS, -1)
+
+
+def test_config_takes_numpy_integers_as_int():
+    cfg = SimConfig(ModulationScheme(PSK, 4), 4.0, np.int64(MIN_SYMBOLS), np.uint32(5))
+    assert type(cfg.n_symbols) is int and type(cfg.seed) is int
+    assert simulate_ber(cfg) == simulate_ber(SimConfig(ModulationScheme(PSK, 4), 4.0,
+                                                       MIN_SYMBOLS, 5))
+
+
 def test_deterministic_for_fixed_seed():
     cfg = SimConfig(ModulationScheme(QAM, 16), 8.0, n_symbols=200_000, seed=7)
     assert simulate_ber(cfg) == simulate_ber(cfg)

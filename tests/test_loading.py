@@ -29,6 +29,7 @@ from ofdmse.loading import (
 )
 from ofdmse.loading import (
     _CHUNK,
+    _GAINS,
     _LEVELS,
     _NO_MOVE,
     _ber_table,
@@ -36,6 +37,7 @@ from ofdmse.loading import (
     _dense_candidates,
     _greedy_lockstep,
     _initial_silent,
+    _set_size,
     _to_allocation,
 )
 from ofdmse.modulation import (
@@ -687,8 +689,10 @@ class TestLockstep:
         grids = [build_profile(n).grid for n in ("fb", "cm", "lte", "mlte")]
         draws = sweep_draws(3)
         for p_t in (1e-3, 1e-2):
-            one_call = sweep_total_bits(grids, [s for d in draws for s in d], p_t, granularity)
-            per_draw = [sweep_total_bits(grids, d, p_t, granularity) for d in draws]
+            one_call = sweep_total_bits(grids, np.stack([s.gamma for d in draws for s in d]),
+                                        p_t, granularity)
+            per_draw = [sweep_total_bits(grids, np.stack([s.gamma for s in d]), p_t, granularity)
+                        for d in draws]
             np.testing.assert_array_equal(one_call, np.concatenate(per_draw))
 
     @pytest.mark.parametrize("granularity,allocate", [
@@ -699,10 +703,32 @@ class TestLockstep:
         snrs = [snr_grid(real, 10 ** (-db / 10)) for db in (0.0, 12.0, 24.0, 40.0)]
         grids = [build_profile(n).grid for n in ("fb", "cm", "lte", "mlte")]
         for p_t in (1e-3, 1e-2):
-            totals = sweep_total_bits(grids, snrs, p_t, granularity)
+            totals = sweep_total_bits(grids, np.stack([s.gamma for s in snrs]), p_t, granularity)
             assert totals.shape == (len(snrs), len(grids))
             expected = [[allocate(snr, g, p_t).total_bits for g in grids] for snr in snrs]
             np.testing.assert_array_equal(totals, expected)
+
+
+class TestSetSize:
+    def test_filter_c_margin_holds_after_the_first_move(self):
+        # one grid with room 0 and two class-1 keys; the smallest class-2
+        # key sits so that E_1 + above = delta / 2: after the first move the
+        # class-2 move is within delta of feasible, so the set stops at one
+        # move, where a filter (c) without its margin would take both
+        p_t, n = 1e-3, 2
+        s_sum, w_sum, g, two_cmax = np.zeros(1), np.zeros(1, dtype=np.int64), np.array([1]), 2.0
+        ks = np.array([[1e-4, 2e-4]])
+        delta = 8 * n * 2.0 ** -53 * (p_t * (w_sum[0] + g[0] * n) + two_cmax)
+        e_1 = ks[0, 0] - p_t
+        above = delta / 2 - e_1
+        assert 0.0 < e_1 + above <= delta
+        low = np.full((1, _GAINS.size), _NO_MOVE)
+        low[0, :2] = ks[0, 0], above + 2 * p_t
+        steps = np.arange(n + 1)
+        pg_steps = (p_t * np.arange(_GAINS.size + 1))[:, None] * steps
+        n_set = _set_size(ks, low, s_sum, w_sum, g, p_t, np.array([two_cmax]),
+                          np.zeros((1, n + 1)), steps, pg_steps)
+        assert n_set.tolist() == [1]
 
 
 def dense_candidates_by_argmin(mask, cost):
@@ -913,6 +939,118 @@ class TestEvaluateAvgBerPerScheme:
             schemes = tuple(tuple(CATALOG[i] for i in row) for row in idx)
             assert (evaluate_avg_ber(schemes, snr).hex()
                     == evaluate_avg_ber_one_position_at_a_time(schemes, snr).hex())
+
+
+def count_ber_tables(calls):
+    """A stand-in for loading._ber_table that counts its calls in `calls`."""
+    def counting(gamma):
+        calls.append(gamma.shape)
+        return _ber_table(gamma)
+    return mock.patch.object(loading, "_ber_table", counting)
+
+
+@pytest.fixture
+def cold_memo(monkeypatch):
+    monkeypatch.setattr(loading, "_memo", (None, None))
+
+
+@pytest.mark.usefixtures("cold_memo")
+class TestBerTableMemo:
+    """The one-entry memo of the last grid's BER table changes no result."""
+
+    @pytest.mark.parametrize("name,n_f,n_t", [("cm", 12, 7), ("mlte", 12, 7), ("fb", 2, 2)])
+    def test_hit_gives_the_bytes_of_a_miss(self, name, n_f, n_t):
+        grid = build_profile(name, n_f, n_t).grid
+        solvers = [greedy_allocate, block_allocate]
+        if n_f * n_t <= 4:
+            solvers.append(exhaustive_allocate)
+        rng = np.random.default_rng(12)
+        for _ in range(6):
+            snr = random_instance(rng, n_f, n_t, snr_db=rng.uniform(0.0, 40.0))
+            for allocate in solvers:
+                for p_t in (1e-3, 1e-2):
+                    loading._memo = (None, None)
+                    calls = []
+                    with count_ber_tables(calls):
+                        miss = allocate(snr, grid, p_t)
+                        hit = allocate(snr, grid, p_t)
+                        ev_hit = evaluate_avg_ber(miss.schemes, snr)
+                    assert len(calls) == 1
+                    assert hit == miss and hit.avg_ber.hex() == miss.avg_ber.hex()
+                    loading._memo = (None, None)
+                    ev_cold = evaluate_avg_ber(miss.schemes, snr)
+                    assert loading._memo == (None, None)  # evaluate never fills it
+                    assert (ev_hit.hex() == ev_cold.hex()
+                            == evaluate_avg_ber_one_position_at_a_time(miss.schemes, snr).hex())
+
+    @pytest.mark.parametrize("change", ["one_ulp", "negative_zero"])
+    def test_different_bytes_never_share_a_table(self, change):
+        gamma = random_instance(np.random.default_rng(4), 12, 7).gamma
+        if change == "one_ulp":
+            other = gamma.copy()
+            other[3, 2] = np.nextafter(other[3, 2], np.inf)
+        else:
+            gamma[3, 2], other = 0.0, gamma.copy()
+            other[3, 2] = -0.0
+        a, b = SnrGrid(gamma=gamma), SnrGrid(gamma=other)
+        calls = []
+        with count_ber_tables(calls):
+            table_a = position_ber_table(a)
+            assert len(calls) == 1
+            assert position_ber_table(a).tobytes() == table_a.tobytes()
+            assert len(calls) == 1
+            table_b = position_ber_table(b)
+            assert len(calls) == 2
+            assert table_b.tobytes() == _ber_table(loading._flat_gamma(b)).tobytes()
+            # one entry: a has left the memo
+            position_ber_table(a)
+            assert len(calls) == 3
+
+    def test_returned_table_is_the_callers_own(self):
+        grid = build_profile("cm").grid
+        snr = random_instance(np.random.default_rng(6), 12, 7, snr_db=15.0)
+        expected = greedy_allocate(snr, grid, 1e-3)
+        ev = evaluate_avg_ber(expected.schemes, snr)
+        table = position_ber_table(snr)
+        table[...] = 0.0
+        assert greedy_allocate(snr, grid, 1e-3) == expected
+        assert evaluate_avg_ber(expected.schemes, snr).hex() == ev.hex()
+        assert position_ber_table(snr).any()
+
+    @pytest.mark.parametrize("allocate", [greedy_allocate, block_allocate])
+    def test_passed_table_never_serves_a_later_call(self, allocate):
+        grid = build_profile("fb").grid
+        snr = random_instance(np.random.default_rng(8), 12, 7, snr_db=5.0)
+        expected = allocate(snr, grid, 1e-3)
+        ev = evaluate_avg_ber(expected.schemes, snr)
+        fake = np.zeros((N_SCHEMES, 84))  # every scheme error-free: loads every position
+        for memo in ((None, None), loading._memo):
+            loading._memo = memo
+            assert allocate(snr, grid, 1e-3, ber_table=fake).avg_ber == 0.0
+            assert allocate(snr, grid, 1e-3) == expected
+            loading._memo = memo
+            allocate(snr, grid, 1e-3, ber_table=fake)
+            assert evaluate_avg_ber(expected.schemes, snr).hex() == ev.hex()
+
+    def test_evaluate_skips_unloaded_gammas_when_cold(self):
+        grid = build_profile("lte").grid  # its pilot positions stay silent
+        snr = random_instance(np.random.default_rng(9), 12, 7, snr_db=20.0)
+        schemes = greedy_allocate(snr, grid, 1e-3).schemes
+        k, l = next((k, l) for k in range(12) for l in range(7) if schemes[k][l].silent)
+        gamma = snr.gamma.copy()
+        gamma[k, l] = np.nan
+        bad = SnrGrid(gamma=gamma)
+        calls = []
+        with count_ber_tables(calls):
+            got = evaluate_avg_ber(schemes, bad)
+            with pytest.raises(ValueError, match="finite"):
+                greedy_allocate(bad, grid, 1e-3)
+            assert evaluate_avg_ber(schemes, bad).hex() == got.hex()
+            greedy_allocate(snr, grid, 1e-3)
+        # the failed table is the only one: the failure left snr's in the memo
+        assert len(calls) == 1
+        assert got.hex() == evaluate_avg_ber_one_position_at_a_time(schemes, bad).hex()
+        assert got.hex() == evaluate_avg_ber(schemes, snr).hex()
 
 
 @settings(max_examples=25, deadline=None)
