@@ -37,6 +37,10 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not isinstance(self.scheme, ModulationScheme):
+            raise TypeError(f"scheme must be a ModulationScheme, got {self.scheme!r}")
+        if isinstance(self.gamma, bool) or not isinstance(self.gamma, numbers.Real):
+            raise TypeError(f"gamma must be a real number, got {self.gamma!r}")
         for name in ("n_symbols", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):

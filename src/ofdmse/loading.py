@@ -66,19 +66,11 @@ _LEVEL_BITS = np.array([b for b, _rows in _LEVELS])
 #: Bit gains a single move can make, 1 .. the top level's bits.
 _GAINS = np.arange(1, _LEVEL_BITS[-1] + 1)
 
-#: _LEVEL_AT[b] is the index of the level with b bits, or len(_LEVELS) when
-#: no level has that many (an all-_NO_MOVE candidate row), for b up to one
-#: past the top gain, which gives the move table its pad class.
-_LEVEL_AT = np.full(_GAINS.size + 2, len(_LEVELS), dtype=np.int8)
+#: _LEVEL_AT[b] is the index of the level with b bits, for b = 0 .. the top
+#: gain, or len(_LEVELS) when no level has that many: the row holding each
+#: position's initial silent scheme.
+_LEVEL_AT = np.full(_GAINS.size + 1, len(_LEVELS), dtype=np.int8)
 _LEVEL_AT[_LEVEL_BITS] = np.arange(len(_LEVELS))
-
-#: _SLOTS[k, lvl] is the k-th catalog row of level lvl.  Past a level's
-#: last row it repeats the first, which a strictly cheaper test never
-#: prefers, and the sentinel level reads row 0 until it is set to _NO_MOVE.
-_SLOTS = np.array([
-    [rows[k] if k < len(rows) else rows[0] for _b, rows in _LEVELS] + [0]
-    for k in range(max(len(rows) for _b, rows in _LEVELS))
-])
 
 #: After a move of g bits at a position, its gain class c holds what its
 #: class _SHIFT[g, c] held before: c + g, or the all-_NO_MOVE pad class.
@@ -177,18 +169,32 @@ def _ber_table(gamma: np.ndarray) -> np.ndarray:
 
 def evaluate_avg_ber(schemes, snr: SnrGrid) -> float:
     """Bit-weighted mean instantaneous BER of an assignment:
-    sum(bits * ber) / sum(bits) over the non-silent positions.  Positions
-    are first grouped by scheme object, which hashes no dataclass, and then
-    the few groups of equal schemes are merged.  When the memo holds this
-    grid's BER table (an allocator or position_ber_table ran on it last),
-    each BER is gathered from it; otherwise there is one BER kernel call
+    sum(bits * ber) / sum(bits) over the non-silent positions.  When the
+    memo holds this grid's BER table (an allocator or position_ber_table ran
+    on it last), each position's catalog row is read through the id of its
+    scheme object, which hashes no dataclass, and bits * BER is one gather
+    from the table.  Otherwise positions are grouped by scheme object, the
+    few groups of equal schemes are merged, and there is one BER kernel call
     per scheme over the gammas of its positions, which are checked together
     as ber checks them, so gammas at silent positions are never checked.
-    Each BER is elementwise, so neither route nor grouping changes a float."""
+    Each BER is elementwise and silent positions weigh +0.0 on both routes,
+    so neither route nor grouping changes a float of the sum."""
     gamma = np.asarray(snr.gamma, dtype=float)
     n_f, n_t = gamma.shape
     if len(schemes) != n_f or any(len(row) != n_t for row in schemes):
         raise ValueError("scheme grid shape does not match the SNR grid")
+    flat = _flat_gamma(snr)
+    table = _cached_table(flat)
+    if table is not None:
+        by_time = [s for column in zip(*schemes) for s in column]  # time-major
+        ids = list(map(id, by_time))
+        row_of = {i: CATALOG_INDEX[s] for i, s in dict(zip(ids, by_time)).items()}
+        rows = np.fromiter(map(row_of.__getitem__, ids), dtype=np.intp, count=len(ids))
+        bits = CATALOG_BITS[rows]
+        total_bits = int(bits.sum())
+        if not total_bits:
+            return 0.0
+        return float(np.sum(bits * table[rows, np.arange(rows.size)]) / total_bits)
     by_object = {}
     for k, row in enumerate(schemes):
         for l, s in enumerate(row):
@@ -199,15 +205,11 @@ def evaluate_avg_ber(schemes, snr: SnrGrid) -> float:
             positions.setdefault(s, []).extend(at)
     if not positions:
         return 0.0
-    flat = _flat_gamma(snr)
     positions = {s: np.array(at) for s, at in positions.items()}
-    table = _cached_table(flat)
-    if table is None:
-        _checked_gamma(flat[np.concatenate(tuple(positions.values()))])
+    _checked_gamma(flat[np.concatenate(tuple(positions.values()))])
     weighted = np.zeros(n_f * n_t)
     for s, at in positions.items():
-        ber = _ber_kernel(s, flat[at]) if table is None else table[CATALOG_INDEX[s], at]
-        weighted[at] = s.bits * ber
+        weighted[at] = s.bits * _ber_kernel(s, flat[at])
     total_bits = sum(s.bits * at.size for s, at in positions.items())
     return float(np.sum(weighted) / total_bits)
 
@@ -283,29 +285,33 @@ def greedy_allocate(
 
 def _dense_candidates(mask, cost):
     """The greedy's moves, one per (grid, bits level, position), as dense
-    (..., levels + 1, N) arrays; the reference serial loop in
-    tests/test_loading.py prunes its move set the same way, one grid at a
-    time.
+    arrays; the reference serial loop in tests/test_loading.py prunes its
+    move set the same way, one grid at a time.
 
     mask and cost are (..., n_schemes, N) and broadcast against each other.
     Returns the cheapest allowed scheme per (grid, bits level, position),
-    the earlier catalog row on a tie, and its cost; a level with no allowed
-    scheme gets its first row and _NO_MOVE.  The last level
-    is an all-_NO_MOVE sentinel that _LEVEL_AT gives for bit counts no level
-    has; its scheme (row 0) is left for the caller.  Each _SLOTS row gathers
-    one catalog row of every level at once.
+    the earlier catalog row on a tie, as (..., levels + 1, N) catalog rows,
+    and its cost by gain class, as a (..., gains + 1, N) by_gain table (see
+    _greedy_lockstep).  A level with no allowed scheme gets its first row
+    and _NO_MOVE, and so does every class that no level fills, the pad
+    class included.  The last level's rows are 0, left for the caller.
+    Each level is reduced over its catalog rows with (..., N) temporaries,
+    straight into its class of by_gain.
     """
-    cand_cost = np.where(mask[..., _SLOTS[0], :], cost[..., _SLOTS[0], :], _NO_MOVE)
-    cand_idx = np.empty(cand_cost.shape, dtype=np.int8)
-    cand_idx[...] = _SLOTS[0, :, None]
-    for slot in _SLOTS[1:]:
-        # strictly cheaper only: a tie keeps the earlier row, as argmin
-        other = np.where(mask[..., slot, :], cost[..., slot, :], _NO_MOVE)
-        better = other < cand_cost
-        np.copyto(cand_cost, other, where=better)
-        np.copyto(cand_idx, slot[:, None], where=better)
-    cand_cost[..., -1, :] = _NO_MOVE
-    return cand_idx, cand_cost
+    lead = np.broadcast_shapes(mask.shape[:-2], cost.shape[:-2])
+    cand_idx = np.empty(lead + (len(_LEVELS) + 1, mask.shape[-1]), dtype=np.int8)
+    cand_idx[...] = np.array([rows[0] for _b, rows in _LEVELS] + [0])[:, None]
+    by_gain = np.full(lead + (_GAINS.size + 1, mask.shape[-1]), _NO_MOVE)
+    for lvl, (b, (first, *rest)) in enumerate(_LEVELS):
+        best, idx = by_gain[..., b - 1, :], cand_idx[..., lvl, :]
+        np.copyto(best, cost[..., first, :], where=mask[..., first, :])
+        for row in rest:
+            # strictly cheaper only: a tie keeps the earlier row, as argmin
+            other = np.where(mask[..., row, :], cost[..., row, :], _NO_MOVE)
+            better = other < best
+            np.copyto(best, other, where=better)
+            np.copyto(idx, row, where=better)
+    return cand_idx, by_gain
 
 
 def _greedy_lockstep(mask, cost, p_t):
@@ -324,7 +330,8 @@ def _greedy_lockstep(mask, cost, p_t):
     the move at p that gains g bits (_NO_MOVE if no level has that many bits
     or the guard rejected it), and a last pad class is always _NO_MOVE.  A
     committed move of g bits shifts its position's classes down by g, with
-    the pad filling the top, and a rejected one marks its entry.  The
+    the pad filling the top, and a rejected one marks its entry; by_gain
+    stays C-contiguous, so the shift can index it flat.  The
     numerators (S + cost) - cur_cost are the serial loop's; division by the
     positive W + g is monotone under correct rounding, so a class has a
     feasible move iff its smallest numerator does.  The greatest feasible
@@ -353,16 +360,17 @@ def _greedy_lockstep(mask, cost, p_t):
     loop's last full recompute.  A grid for which no J >= 1 passes takes
     the single argmin move under the full-recompute guard: a row-wise sum
     over a C-contiguous array is bit-identical to the 1-D np.sum.  The
-    scheme of every position is read from its final bit count.
+    scheme of every position is read from its final bit count, once, after
+    the last grid is done.
     """
     cand_idx, by_gain = _dense_candidates(mask, cost)
     lead, (levels, n) = cand_idx.shape[:-2], cand_idx.shape[-2:]
     r = math.prod(lead)
     cand_idx[..., -1, :] = _initial_silent(mask)
     cand_idx = cand_idx.reshape(r, levels, n)
-    by_gain = by_gain.reshape(r, levels, n).take(_LEVEL_AT[1:], axis=1)
+    by_gain = by_gain.reshape(r, _GAINS.size + 1, n)
     two_cmax = np.multiply(cost.max(axis=(-2, -1)), 2.0, out=np.empty(lead)).reshape(r)
-    out_idx = np.empty((r, n), dtype=np.int8)
+    out_bits = np.empty((r, n), dtype=np.int8)
     out_s = np.zeros(r)
     out_w = np.zeros(r, dtype=np.int64)
     rows = np.arange(r)
@@ -384,29 +392,33 @@ def _greedy_lockstep(mask, cost, p_t):
         steps_left -= 1
         if steps_left < 0:
             raise RuntimeError("lockstep greedy exceeded its step bound")
-        num = np.add(by_gain[:, :-1], s_sum[:, None, None], out=num_buf[: rows.size, :-1])
+        # the whole contiguous table, pad class included, in long inner loops
+        num = np.add(by_gain, s_sum[:, None, None], out=num_buf[: rows.size])
         num -= cur_cost[:, None, :]
-        low = num.min(axis=2)
+        low = num[:, :-1].min(axis=2)
         # the greatest gain with a feasible move, 0 where there is none
         g = ((low / (w_sum[:, None] + _GAINS) <= p_t) * _GAINS).max(axis=1)
         if np.count_nonzero(g) < rows.size:
             # a grid without a feasible move is final; drop it from the batch
-            live = g > 0
-            done = ~live
-            out_s[rows[done]], out_w[rows[done]] = s_sum[done], w_sum[done]
-            out_idx[rows[done]] = cand_idx[rows[done, None], _LEVEL_AT[cur_bits[done]], pos]
-            if not live.any():
+            done = g == 0
+            gone = rows[done]
+            out_s[gone], out_w[gone], out_bits[gone] = s_sum[done], w_sum[done], cur_bits[done]
+            live = np.flatnonzero(g)
+            if not live.size:
                 break
             rows, s_sum, w_sum, two_cmax, low, g, cur_bits, cur_cost = (
-                a[live] for a in (rows, s_sum, w_sum, two_cmax, low, g, cur_bits, cur_cost))
+                a.take(live, axis=0)
+                for a in (rows, s_sum, w_sum, two_cmax, low, g, cur_bits, cur_cost))
             # the spent numerator buffer takes the table's live rows; mode
             # "clip" writes straight into it, and every index is valid
-            by_gain, num_buf = by_gain.take(np.flatnonzero(live), axis=0, mode="clip",
+            by_gain, num_buf = by_gain.take(live, axis=0, mode="clip",
                                             out=num_buf[: rows.size]), by_gain
         here = at[: rows.size]
         bg = by_gain[here, g - 1]
-        keys = bg - cur_cost
-        ks = keys.copy()
+        # the spent numerators' first two classes hold the keys, unsorted and sorted
+        keys = np.subtract(bg, cur_cost, out=num_buf[: rows.size, 0])
+        ks = num_buf[: rows.size, 1]
+        ks[...] = keys
         ks.sort(axis=1)
         n_set = _set_size(ks, low, s_sum, w_sum, g, p_t, two_cmax, e_buf[: rows.size],
                           steps, pg_steps)
@@ -422,6 +434,7 @@ def _greedy_lockstep(mask, cost, p_t):
             commit[single] = pos == np.argmin(avg_new, axis=1)[:, None]
         cur_cost, s_sum, w_sum = _commit(cur_bits, cur_cost, by_gain, bg, g, commit, n_set,
                                          s_sum, w_sum, p_t)
+    out_idx = cand_idx[at[:, None], _LEVEL_AT[out_bits], pos]
     return out_idx.reshape(lead + (n,)), out_s.reshape(lead), out_w.reshape(lead)
 
 
@@ -439,10 +452,11 @@ def _set_size(ks, low, s_sum, w_sum, g, p_t, two_cmax, e, steps, pg_steps):
     delta = 8 * n * 2.0 ** -53 * (p_t * (w_sum + g * n) + two_cmax)
     room = p_t * w_sum - s_sum
     # smallest key less p_t h of any class h above g, over every position
-    above = np.minimum.reduce(low - p_t * _GAINS, axis=1, initial=_NO_MOVE, where=_ABOVE[g])
+    above = np.minimum.reduce(low - p_t * _GAINS, axis=1, initial=_NO_MOVE,
+                              where=_ABOVE.take(g, axis=0))
     above -= s_sum
     ks.cumsum(axis=1, out=e[:, 1:])
-    e -= pg_steps[g]                                                    # E_0 .. E_n
+    e -= pg_steps.take(g, axis=0)                                       # E_0 .. E_n
     ok = e[:, 1:] <= (room - delta)[:, None]                            # (a)
     ok &= e[:, :-1] > (room + delta - above)[:, None]                   # (c), states 0 .. J - 1
     ok = np.logical_and.accumulate(ok, axis=1, out=ok)
@@ -459,8 +473,9 @@ def _commit(cur_bits, cur_cost, by_gain, bg, g, commit, n_set, s_sum, w_sum, p_t
 
     The new costs are one select over the whole (grids, N) state, and W
     grows by g per move.  A committed move of g bits shifts its position's
-    gain classes down by g in one gather through _SHIFT[g], whatever the
-    mix of gains in the batch.
+    gain classes down by g, whatever the mix of gains in the batch: one
+    flat take and one flat assignment on the C-contiguous by_gain, with
+    (classes, moves) index arrays.
     """
     new_cost = np.where(commit, bg, cur_cost)
     s_full = new_cost.sum(axis=1)
@@ -476,11 +491,21 @@ def _commit(cur_bits, cur_cost, by_gain, bg, g, commit, n_set, s_sum, w_sum, p_t
         commit[t, q] = False
         by_gain[t, g[t] - 1, q] = _NO_MOVE
         s_full[bad], w_full[bad] = s_sum[bad], w_sum[bad]
-    np.add(cur_bits, g[:, None], out=cur_bits, where=commit)
-    # a move of g bits shifts its position's gain classes down by g
-    t, q = commit.nonzero()
-    classes = by_gain[t, :, q]
-    by_gain[t, :-1, q] = classes[np.arange(t.size)[:, None], _SHIFT[g[t]]]
+    cur_bits += commit * g[:, None].astype(np.int8)
+    # a move of g bits shifts its position's gain classes down by g.  The
+    # move at flat index f = t N + q of commit owns the entries t C N + c N + q
+    # of the flat C-order table, base + c N; class c takes class _SHIFT[g, c].
+    n = commit.shape[1]
+    f = np.flatnonzero(commit)
+    t = f // n
+    base = f + t * (by_gain[0].size - n)
+    offsets = (_SHIFT * n).T  # (classes, gains): row c reads N _SHIFT[g, c]
+    src = offsets.take(g.take(t), axis=1)
+    src += base
+    flat = by_gain.reshape(-1)
+    moved = flat.take(src)
+    # the destinations, base + c N, reuse the sources' buffer
+    flat[np.add(offsets[:, :1], base, out=src)] = moved
     return new_cost, s_full, w_full
 
 

@@ -64,9 +64,15 @@ class ConstraintGrid:
             len(row) != n_t for row in self.roles
         ):
             raise ValueError("roles shape does not match allowed shape")
-        for k, row in enumerate(self.allowed):
-            for l, schemes in enumerate(row):
-                role = self.roles[k][l]
+        # each (allowed set, role) pair of objects is checked once, keyed by
+        # identity, which hashes neither a scheme nor a role; a pair that
+        # fails is never recorded, so its first position, row-major, raises
+        passed = set()
+        for k, (row, role_row) in enumerate(zip(self.allowed, self.roles)):
+            for l, (schemes, role) in enumerate(zip(row, role_row)):
+                key = (id(schemes), id(role))
+                if key in passed:
+                    continue
                 if not schemes:
                     raise ValueError(f"empty allowed set at ({k}, {l})")
                 if not schemes <= FULL_SET:
@@ -79,6 +85,7 @@ class ConstraintGrid:
                     raise ValueError(
                         f"amplitude position ({k}, {l}) must be ASK-only"
                     )
+                passed.add(key)
 
     @property
     def n_f(self) -> int:

@@ -1,5 +1,7 @@
 """Monte Carlo BER simulator tests, plus the model-vs-simulation agreement check."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,25 @@ def test_config_refuses_non_integer_fields(field, value):
     # a float n_symbols used to fail inside rng.integers, far from the config
     with pytest.raises(TypeError, match=f"{field} must be an integer, got {value!r}"):
         SimConfig(ModulationScheme(PSK, 2), 10.0, **{field: value})
+
+
+@pytest.mark.parametrize("value", [True, np.bool_(True), "10.0", None, 1 + 2j])
+def test_config_refuses_non_real_gamma_by_name(value):
+    # a bool gamma used to construct and simulate at gamma 1
+    with pytest.raises(TypeError, match=re.escape(f"gamma must be a real number, got {value!r}")):
+        SimConfig(ModulationScheme(ASK, 2), value, MIN_SYMBOLS, 0)
+
+
+@pytest.mark.parametrize("value", ["QAM16", None, (QAM, 16)])
+def test_config_refuses_non_scheme_by_name(value):
+    # a scheme name used to fail with AttributeError on .silent
+    with pytest.raises(TypeError, match="scheme must be a ModulationScheme, got "):
+        SimConfig(value, 10.0)
+
+
+def test_config_takes_real_gammas():
+    for gamma in (10, np.float64(10.0), np.float32(10.0), np.int64(10)):
+        assert SimConfig(ModulationScheme(PSK, 2), gamma).gamma == 10
 
 
 def test_config_refuses_negative_seed_by_name():

@@ -30,6 +30,7 @@ from ofdmse.loading import (
 from ofdmse.loading import (
     _CHUNK,
     _GAINS,
+    _LEVEL_AT,
     _LEVELS,
     _NO_MOVE,
     _ber_table,
@@ -44,6 +45,7 @@ from ofdmse.modulation import (
     CATALOG,
     CATALOG_BITS,
     N_SCHEMES,
+    ModulationScheme,
     ber,
     min_snr_for,
     scheme_from_name,
@@ -695,6 +697,21 @@ class TestLockstep:
                         for d in draws]
             np.testing.assert_array_equal(one_call, np.concatenate(per_draw))
 
+    def test_two_draw_sweep_call_stays_within_its_memory(self):
+        # the call traces about 3.2 MiB at its peak; the bound leaves about
+        # 10% for the allocator's own growth
+        grids = [build_profile(n).grid for n in ("fb", "cm", "lte", "mlte")]
+        gammas = np.stack([s.gamma for d in sweep_draws(2) for s in d])
+        expected = sweep_total_bits(grids, gammas, 1e-3, "subcarrier")
+        tracemalloc.start()
+        try:
+            totals = sweep_total_bits(grids, gammas, 1e-3, "subcarrier")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(totals, expected)
+        assert peak < 3.5 * 2 ** 20
+
     @pytest.mark.parametrize("granularity,allocate", [
         ("subcarrier", greedy_allocate), ("block", block_allocate)])
     def test_sweep_totals_match_single_grid_calls(self, granularity, allocate):
@@ -733,7 +750,9 @@ class TestSetSize:
 
 def dense_candidates_by_argmin(mask, cost):
     """_dense_candidates as a min and argmin over each level's gathered
-    rows, kept as the reference for the strict-less-than chain."""
+    rows, kept as the reference for the strict-less-than chain.  The costs
+    are built per level, with an all-_NO_MOVE last level, and then gathered
+    into gain classes through _LEVEL_AT, the pad class included."""
     lead = np.broadcast_shapes(mask.shape[:-2], cost.shape[:-2])
     shape = lead + (len(_LEVELS) + 1, mask.shape[-1])
     cand_idx = np.zeros(shape, dtype=np.int8)
@@ -743,7 +762,7 @@ def dense_candidates_by_argmin(mask, cost):
         level_cost = np.where(mask[..., rows, :], cost[..., rows, :], _NO_MOVE)
         cand_cost[..., lvl, :] = level_cost.min(axis=-2)
         cand_idx[..., lvl, :] = rows[level_cost.argmin(axis=-2)]
-    return cand_idx, cand_cost
+    return cand_idx, cand_cost.take(np.append(_LEVEL_AT[1:], len(_LEVELS)), axis=-2)
 
 
 def assert_candidates_match_argmin(mask, cost):
@@ -982,6 +1001,31 @@ class TestBerTableMemo:
                     assert loading._memo == (None, None)  # evaluate never fills it
                     assert (ev_hit.hex() == ev_cold.hex()
                             == evaluate_avg_ber_one_position_at_a_time(miss.schemes, snr).hex())
+
+    def test_hit_gathers_the_cold_bytes_for_distinct_equal_schemes(self):
+        rng = np.random.default_rng(15)
+        for n_f, n_t in ((12, 7), (3, 5), (1, 1)):
+            for _ in range(10):
+                snr = random_instance(rng, n_f, n_t, snr_db=rng.uniform(0.0, 40.0))
+                idx = rng.integers(0, N_SCHEMES, (n_f, n_t))
+                # about half the positions hold an equal copy, not the catalog object
+                copies = rng.random((n_f, n_t)) < 0.5
+                schemes = tuple(
+                    tuple(ModulationScheme(CATALOG[i].family, CATALOG[i].order) if c else CATALOG[i]
+                          for i, c in zip(row, crow))
+                    for row, crow in zip(idx, copies))
+                loading._memo = (None, None)
+                cold = evaluate_avg_ber(schemes, snr)
+                calls = []
+                with count_ber_tables(calls):
+                    position_ber_table(snr)
+                    hit = evaluate_avg_ber(schemes, snr)
+                assert len(calls) == 1
+                assert (hit.hex() == cold.hex()
+                        == evaluate_avg_ber_one_position_at_a_time(schemes, snr).hex())
+        silent = ((CATALOG[0], ModulationScheme(CATALOG[0].family, 1)),)
+        position_ber_table(SnrGrid(gamma=np.ones((1, 2))))
+        assert evaluate_avg_ber(silent, SnrGrid(gamma=np.ones((1, 2)))) == 0.0
 
     @pytest.mark.parametrize("change", ["one_ulp", "negative_zero"])
     def test_different_bytes_never_share_a_table(self, change):

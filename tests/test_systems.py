@@ -149,6 +149,32 @@ def test_grid_invariant_violations():
         SystemProfile("", build_profile("fb").grid)
 
 
+def test_grid_names_the_first_bad_position_row_major():
+    silent = frozenset({scheme_from_name("PSK1")})
+    no_silent = frozenset({scheme_from_name("PSK2")})
+    allowed = [[silent] * 4 for _ in range(3)]
+    for k, l in ((2, 0), (1, 3), (1, 2)):
+        allowed[k][l] = no_silent
+    roles = ((Role.DATA,) * 4,) * 3
+    with pytest.raises(ValueError, match=r"no order-1 scheme at \(1, 2\)$"):
+        ConstraintGrid(tuple(map(tuple, allowed)), roles)
+    # a different failure further on does not take the first one's place
+    allowed[0][1] = frozenset()
+    with pytest.raises(ValueError, match=r"empty allowed set at \(0, 1\)$"):
+        ConstraintGrid(tuple(map(tuple, allowed)), roles)
+
+
+def test_set_passed_for_data_is_still_checked_for_a_later_pilot():
+    # the one set object passes at (0, 0) as data and must fail at (1, 1) as a pilot
+    bpsk = frozenset({scheme_from_name("PSK1"), scheme_from_name("PSK2")})
+    roles = ((Role.DATA, Role.DATA), (Role.DATA, Role.PILOT))
+    with pytest.raises(ValueError, match=r"pilot position \(1, 1\) must stay silent"):
+        ConstraintGrid(((bpsk, bpsk), (bpsk, bpsk)), roles)
+    roles = ((Role.DATA, Role.AMPLITUDE_DATA), (Role.DATA, Role.DATA))
+    with pytest.raises(ValueError, match=r"amplitude position \(0, 1\) must be ASK-only"):
+        ConstraintGrid(((bpsk, bpsk), (bpsk, bpsk)), roles)
+
+
 MAP_4X4 = """\
 # corners are pilots; second row unrestricted; third row amplitude data
 4 4
