@@ -26,9 +26,7 @@ from .loading import (
     evaluate_avg_ber,
     exhaustive_allocate,
     greedy_allocate,
-    load_instance,
     position_ber_table,
-    save_instance,
 )
 from .metrics import (
     SweepPoint,
@@ -42,8 +40,6 @@ from .modulation import (
     ModulationFamily,
     ModulationScheme,
     ber,
-    bits,
-    catalog,
     min_snr_for,
     scheme_from_name,
 )
@@ -73,17 +69,14 @@ __all__ = [
     "SystemProfile",
     "aggregate",
     "ber",
-    "bits",
     "block_allocate",
     "build_profile",
-    "catalog",
     "draw_realization",
     "eta_r",
     "evaluate_avg_ber",
     "exhaustive_allocate",
     "greedy_allocate",
     "load_channel_profile",
-    "load_instance",
     "load_profile",
     "lte_pilot_positions",
     "min_snr_for",
@@ -91,7 +84,6 @@ __all__ = [
     "run_ber_validation",
     "run_sweep",
     "saturation_bits",
-    "save_instance",
     "scheme_from_name",
     "simulate_ber",
     "snr_grid",

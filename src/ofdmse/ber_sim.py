@@ -119,21 +119,21 @@ def _simulate_batch(scheme: ModulationScheme, gamma: float, n: int,
     points, scale = _constellation(scheme)
     c = np.sqrt(0.5 / gamma)
     y_re = points.real[sent] + rng.standard_normal(n) * c
+    if scheme.family != ModulationFamily.ASK:
+        y_im = points.imag[sent] + rng.standard_normal(n) * c
     if scheme.family == ModulationFamily.ASK:
         det = np.clip(np.round(y_re / scale).astype(np.int64), 0, order - 1)
-        return int(popcount[labels[sent] ^ labels[det]].sum())
-    y_im = points.imag[sent] + rng.standard_normal(n) * c
-    if scheme.family == ModulationFamily.PSK:
+    elif scheme.family == ModulationFamily.PSK:
         # np.angle(y) is this arctan2
         det = np.mod(np.round(np.arctan2(y_im, y_re) * order / (2.0 * np.pi)).astype(np.int64),
                      order)
-        return int(popcount[labels[sent] ^ labels[det]].sum())
-    side = 1 << (k // 2)
-    axis_gray = _gray_codes(side)
-    di = np.clip(np.round((y_re / scale + side - 1) / 2.0).astype(np.int64), 0, side - 1)
-    dq = np.clip(np.round((y_im / scale + side - 1) / 2.0).astype(np.int64), 0, side - 1)
-    det_label = (axis_gray[di] << (k // 2)) | axis_gray[dq]
-    return int(popcount[labels[sent] ^ det_label].sum())
+    else:
+        # the symbol index of the nearest axis levels, numbered as in _constellation
+        side = 1 << (k // 2)
+        di = np.clip(np.round((y_re / scale + side - 1) / 2.0).astype(np.int64), 0, side - 1)
+        dq = np.clip(np.round((y_im / scale + side - 1) / 2.0).astype(np.int64), 0, side - 1)
+        det = di * side + dq
+    return int(popcount[labels[sent] ^ labels[det]].sum())
 
 
 def simulate_ber(config: SimConfig) -> tuple[float, float]:

@@ -127,9 +127,14 @@ class SnrGrid:
     gamma: np.ndarray
 
 
-def snr_grid(realization: ChannelRealization, noise_var: float) -> SnrGrid:
-    """Instantaneous SNR grid for unit-energy symbols in noise of variance `noise_var`."""
-    if not (noise_var > 0.0 and np.isfinite(noise_var)):
+def snr_grid(realization: ChannelRealization, noise_var) -> SnrGrid:
+    """Instantaneous SNR grid for unit-energy symbols in noise of variance `noise_var`.
+
+    `noise_var` may be an array that broadcasts against the (n_f, n_t) gains,
+    such as an (S, 1, 1) stack, which gives an (S, n_f, n_t) gamma: each
+    layer holds the bytes a call with that one noise variance gives.
+    """
+    if not np.all((np.asarray(noise_var) > 0.0) & np.isfinite(noise_var)):
         raise ValueError(f"noise_var must be positive and finite, got {noise_var!r}")
     gains = np.asarray(realization.gains)
     if not np.all(np.isfinite(gains)):

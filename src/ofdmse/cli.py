@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .ber_sim import SimConfig, simulate_ber
-from .channel import draw_realization, load_channel_profile, tux_profile
+from .channel import draw_realization, load_channel_profile, snr_grid, tux_profile
 from .loading import sweep_total_bits
 from .metrics import SweepPoint, aggregate, eta_r
 from .modulation import CATALOG, ber, min_snr_for
@@ -76,10 +76,13 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for name in ("trials", "seed", "workers", "n_fft", "n_f", "n_t"):
+        for name, least in (("trials", 1), ("seed", 0), ("workers", 1),
+                            ("n_fft", 1), ("n_f", 1), ("n_t", 1)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
             object.__setattr__(self, name, int(value))
         if isinstance(self.systems, str):
             raise TypeError(f"systems must be a sequence of names, got {self.systems!r}")
@@ -113,22 +116,14 @@ class SweepConfig:
                 raise ValueError(f"p_t must lie in (0, 0.5), got {p!r}")
         if not self.p_t:
             raise ValueError("at least one p_t is required")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.n_fft < 1 or self.n_f < 1 or self.n_t < 1:
-            raise ValueError("n_fft and grid dimensions must be positive")
         if self.granularity not in ("subcarrier", "block"):
             raise ValueError("granularity must be subcarrier or block")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 def _resolve_profiles(cfg: SweepConfig):
     """Profiles to compute: requested systems, any custom map, and the
     reference system (always simulated, it is the ratio denominator)."""
-    out_names = list(dict.fromkeys(cfg.systems))
+    out_names = list(cfg.systems)
     profiles = {n: build_profile(n, cfg.n_f, cfg.n_t) for n in out_names}
     if cfg.profile_file is not None:
         custom = load_profile(cfg.profile_file)
@@ -174,11 +169,9 @@ def _sweep_chunk(cfg, chan, grids, lo, hi):
             gammas = []
             for trial in trials:
                 rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, pt_i, trial)))
-                gains = draw_realization(chan, cfg.n_f, cfg.n_t, rng, n_fft=cfg.n_fft).gains
-                if not np.isfinite(gains).all():
-                    raise ValueError("channel gains must be finite")
-                # every SNR point's grid at once, with snr_grid's arithmetic
-                gammas.append(np.abs(gains) ** 2 / noise_vars[:, None, None])
+                real = draw_realization(chan, cfg.n_f, cfg.n_t, rng, n_fft=cfg.n_fft)
+                # every SNR point's grid at once
+                gammas.append(snr_grid(real, noise_vars[:, None, None]).gamma)
             bits = sweep_total_bits(grids, np.concatenate(gammas), p_t, cfg.granularity)
             bits = bits.reshape(len(trials), len(cfg.snr_db), len(grids))
             out[pt_i, :, :, first - lo:first - lo + len(trials)] = bits.transpose(1, 2, 0)
@@ -330,7 +323,7 @@ def run_ber_validation(n_symbols: int = 1_000_000, tolerance: float = 0.10,
     return rows, all_ok
 
 
-def _print_validation_report(rows, all_ok, fh):
+def _print_validation_report(rows, fh):
     fh.write(
         f"{'scheme':<7} {'gamma':>12} {'analytic':>12} "
         f"{'empirical':>12} {'rel_err':>9}  status\n"
@@ -477,7 +470,7 @@ def _cmd_validate_ber(args, parser) -> int:
     if args.seed < 0:
         parser.error("--seed must be non-negative")
     rows, all_ok = run_ber_validation(args.symbols, args.tolerance, args.seed)
-    _print_validation_report(rows, all_ok, sys.stdout)
+    _print_validation_report(rows, sys.stdout)
     return 0 if all_ok else 1
 
 

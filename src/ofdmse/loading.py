@@ -25,10 +25,8 @@ total orders, so every solver is deterministic.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -41,7 +39,6 @@ from .modulation import (
     ModulationScheme,
     _ber_kernel,
     _checked_gamma,
-    scheme_from_name,
 )
 from .systems import ConstraintGrid
 
@@ -51,8 +48,7 @@ EXHAUSTIVE_LIMIT = 10_000_000
 _CHUNK = 1 << 17
 
 #: Bit levels of fewer assignments than this share an exhaustive-search
-#: block, and a search space of at most this many is one block in id
-#: order, so a small search makes few numpy calls.
+#: block, so a small search makes few numpy calls.
 _MERGE = 1 << 10
 
 #: Catalog rows per positive bits-per-symbol level, family-ascending.
@@ -169,49 +165,40 @@ def _ber_table(gamma: np.ndarray) -> np.ndarray:
 
 def evaluate_avg_ber(schemes, snr: SnrGrid) -> float:
     """Bit-weighted mean instantaneous BER of an assignment:
-    sum(bits * ber) / sum(bits) over the non-silent positions.  When the
-    memo holds this grid's BER table (an allocator or position_ber_table ran
-    on it last), each position's catalog row is read through the id of its
-    scheme object, which hashes no dataclass, and bits * BER is one gather
-    from the table.  Otherwise positions are grouped by scheme object, the
-    few groups of equal schemes are merged, and there is one BER kernel call
-    per scheme over the gammas of its positions, which are checked together
-    as ber checks them, so gammas at silent positions are never checked.
-    Each BER is elementwise and silent positions weigh +0.0 on both routes,
-    so neither route nor grouping changes a float of the sum."""
+    sum(bits * ber) / sum(bits) over the non-silent positions.  Each
+    position's catalog row is read through the id of its scheme object,
+    which hashes no dataclass.  When the memo holds this grid's BER table
+    (an allocator or position_ber_table ran on it last), the BERs are one
+    gather from it.  Otherwise the loaded gammas are checked together, as
+    ber checks them, so gammas at silent positions are never checked, and
+    there is one BER kernel call per loaded catalog row over its positions;
+    the memo is left as it was.  Each BER is elementwise and silent
+    positions weigh +0.0 on both routes, so neither route changes a float
+    of the sum."""
     gamma = np.asarray(snr.gamma, dtype=float)
     n_f, n_t = gamma.shape
     if len(schemes) != n_f or any(len(row) != n_t for row in schemes):
         raise ValueError("scheme grid shape does not match the SNR grid")
+    by_time = [s for column in zip(*schemes) for s in column]  # time-major
+    ids = list(map(id, by_time))
+    row_of = {i: CATALOG_INDEX[s] for i, s in dict(zip(ids, by_time)).items()}
+    rows = np.fromiter(map(row_of.__getitem__, ids), dtype=np.intp, count=len(ids))
+    bits = CATALOG_BITS[rows]
+    total_bits = int(bits.sum())
+    if not total_bits:
+        return 0.0
     flat = _flat_gamma(snr)
     table = _cached_table(flat)
     if table is not None:
-        by_time = [s for column in zip(*schemes) for s in column]  # time-major
-        ids = list(map(id, by_time))
-        row_of = {i: CATALOG_INDEX[s] for i, s in dict(zip(ids, by_time)).items()}
-        rows = np.fromiter(map(row_of.__getitem__, ids), dtype=np.intp, count=len(ids))
-        bits = CATALOG_BITS[rows]
-        total_bits = int(bits.sum())
-        if not total_bits:
-            return 0.0
-        return float(np.sum(bits * table[rows, np.arange(rows.size)]) / total_bits)
-    by_object = {}
-    for k, row in enumerate(schemes):
-        for l, s in enumerate(row):
-            by_object.setdefault(id(s), [s]).append(l * n_f + k)
-    positions = {}
-    for s, *at in by_object.values():
-        if not s.silent:
-            positions.setdefault(s, []).extend(at)
-    if not positions:
-        return 0.0
-    positions = {s: np.array(at) for s, at in positions.items()}
-    _checked_gamma(flat[np.concatenate(tuple(positions.values()))])
-    weighted = np.zeros(n_f * n_t)
-    for s, at in positions.items():
-        weighted[at] = s.bits * _ber_kernel(s, flat[at])
-    total_bits = sum(s.bits * at.size for s, at in positions.items())
-    return float(np.sum(weighted) / total_bits)
+        ber_at = table[rows, np.arange(rows.size)]
+    else:
+        at = np.flatnonzero(bits)
+        loaded, rows_at = _checked_gamma(flat[at]), rows[at]
+        ber_at = np.zeros(rows.size)
+        for row in np.unique(rows_at):
+            mine = rows_at == row
+            ber_at[at[mine]] = _ber_kernel(CATALOG[row], loaded[mine])
+    return float(np.sum(bits * ber_at) / total_bits)
 
 
 def flat_mask(constraints: ConstraintGrid) -> np.ndarray:
@@ -556,8 +543,8 @@ def exhaustive_allocate(
     division by the level that a full enumeration makes.  It stops at the
     first level that has an assignment within p_t, where the first
     assignment of least average wins, so every float and every choice is
-    the full enumeration's.  A search space of at most _MERGE assignments
-    is scored as one block in id order, with no sort.
+    the full enumeration's.  Every search space takes this walk, the
+    smallest included.
     """
     mask, cost = _one_grid(snr, constraints, p_t, ber_table)
     n = mask.shape[1]
@@ -570,17 +557,6 @@ def exhaustive_allocate(
     # lut[p, d] is position p's d-th allowed scheme, in catalog order
     lut = np.argsort(~mask, axis=0, kind="stable").T
     cols = np.arange(n)
-    if total <= _MERGE:
-        # every assignment fits one merged block: score them all in id order
-        sel = lut[cols, np.indices(sizes).reshape(n, total).T]
-        w = CATALOG_BITS[sel].sum(axis=1)
-        weighted = cost[sel, cols].sum(axis=1)
-        avg = weighted / np.maximum(w, 1)  # silent costs are 0.0, so level 0 gives 0.0
-        feas = np.flatnonzero(avg <= p_t)
-        level = int(w[feas].max())
-        feas = feas[w[feas] == level]
-        j = feas[np.argmin(avg[feas])]
-        return _to_allocation(sel[j], constraints.n_f, constraints.n_t, float(weighted[j]), level)
     top = int(np.where(mask, CATALOG_BITS[:, None], 0).max(axis=0).sum())
     # the high part takes leading positions while its (levels, rows)
     # segment table stays no larger than the low part
@@ -681,33 +657,3 @@ def block_allocate(
     best, s_sum, w_sum = _block_core(mask, cost, p_t)
     idx = np.where(mask[best], best, _initial_silent(mask))
     return _to_allocation(idx, constraints.n_f, constraints.n_t, s_sum, w_sum)
-
-
-def save_instance(path, snr: SnrGrid, constraints: ConstraintGrid, p_t: float):
-    """Serialize an allocation problem instance for regression fixtures."""
-    payload = {
-        "p_t": p_t,
-        "gamma": np.asarray(snr.gamma, dtype=float).tolist(),
-        "roles": [[r.value for r in row] for row in constraints.roles],
-        "allowed": [
-            [sorted(str(s) for s in schemes) for schemes in row]
-            for row in constraints.allowed
-        ],
-    }
-    Path(path).write_text(json.dumps(payload, indent=1))
-
-
-def load_instance(path):
-    """Inverse of save_instance: returns (SnrGrid, ConstraintGrid, p_t)."""
-    from .systems import Role
-
-    payload = json.loads(Path(path).read_text())
-    snr = SnrGrid(gamma=np.asarray(payload["gamma"], dtype=float))
-    allowed = tuple(
-        tuple(frozenset(scheme_from_name(n) for n in names) for names in row)
-        for row in payload["allowed"]
-    )
-    roles = tuple(
-        tuple(Role(value) for value in row) for row in payload["roles"]
-    )
-    return snr, ConstraintGrid(allowed, roles), float(payload["p_t"])

@@ -68,11 +68,7 @@ class ModulationScheme:
         return f"{self.family.name}{self.order}"
 
 
-def catalog() -> tuple[ModulationScheme, ...]:
-    """Full scheme catalog, families in ASK < PSK < QAM order, orders ascending."""
-    return CATALOG
-
-
+#: Full scheme catalog, families in ASK < PSK < QAM order, orders ascending.
 CATALOG = tuple(
     ModulationScheme(fam, m) for fam in ModulationFamily for m in FAMILY_ORDERS[fam]
 )
@@ -91,11 +87,6 @@ def scheme_from_name(name: str) -> ModulationScheme:
                 break
             return ModulationScheme(fam, int(tail))
     raise ValueError(f"unrecognized scheme name: {name!r}")
-
-
-def bits(scheme: ModulationScheme) -> int:
-    """Bits per symbol carried by `scheme`."""
-    return scheme.bits
 
 
 def _qfunc(x):

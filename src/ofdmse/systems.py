@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -126,8 +126,13 @@ def lte_pilot_positions() -> frozenset:
     return frozenset({(0, 0), (6, 0), (3, 4), (9, 4)})
 
 
+@lru_cache
 def build_profile(name: str, n_f: int = 12, n_t: int = 7) -> SystemProfile:
-    """Construct one of the built-in system profiles on an n_f x n_t grid."""
+    """Construct one of the built-in system profiles on an n_f x n_t grid.
+
+    Repeated calls with the same arguments return the same profile object,
+    which is immutable and whose allowed_mask is read-only.
+    """
     key = name.strip().lower().replace("-", "")
     if n_f < 1 or n_t < 1:
         raise ValueError("grid must be at least 1 x 1")

@@ -155,6 +155,22 @@ def test_snr_grid_values_and_validation():
         snr_grid(bad, 1.0)
 
 
+def test_snr_grid_noise_stack_matches_single_calls():
+    r = draw_realization(tux_profile(), 12, 7, np.random.default_rng(3))
+    noise = 10.0 ** (-np.arange(0, 41, 2) / 10.0)
+    stack = snr_grid(r, noise[:, None, None]).gamma
+    assert stack.shape == (noise.size, 12, 7)
+    for layer, nv in zip(stack, noise):
+        assert layer.tobytes() == snr_grid(r, float(nv)).gamma.tobytes()
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_snr_grid_noise_stack_with_one_bad_variance_raises(bad):
+    r = ChannelRealization(gains=np.array([[1.0 + 0j, 2.0j]]), n_fft=128)
+    with pytest.raises(ValueError, match="^noise_var must be positive and finite"):
+        snr_grid(r, np.array([1.0, bad, 0.5])[:, None, None])
+
+
 def test_load_channel_profile(tmp_path):
     f = tmp_path / "pdp.txt"
     f.write_text("# delay power\n0 0.5\n2 0.25  # late tap\n5 0.25\n")

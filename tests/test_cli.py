@@ -17,6 +17,7 @@ import pytest
 
 import ofdmse
 from ofdmse import cli
+from ofdmse.channel import ChannelRealization
 from ofdmse.cli import (
     CSV_HEADER,
     SweepConfig,
@@ -103,6 +104,12 @@ class TestSweepConfig:
 
     def test_extreme_but_usable_snr_accepted(self):
         assert SweepConfig(snr_db=(-300.0, 300.0)).snr_db == (-300.0, 300.0)
+
+    @pytest.mark.parametrize("field,least", [
+        ("trials", 1), ("seed", 0), ("workers", 1), ("n_fft", 1), ("n_f", 1), ("n_t", 1)])
+    def test_integer_fields_below_least_name_the_field(self, field, least):
+        with pytest.raises(ValueError, match=f"^{field} must be >= {least}, got {least - 1}$"):
+            SweepConfig(**{field: least - 1})
 
     @pytest.mark.parametrize("field", ["trials", "seed", "workers", "n_fft", "n_f", "n_t"])
     @pytest.mark.parametrize("value", [2.7, 3.0, True, "3", None])
@@ -208,6 +215,19 @@ class TestRunSweep:
         cf.write_text("0 1.0\n")
         points = run_sweep(small_config(systems=("fb",), channel_file=str(cf)))
         assert all(np.isfinite(p.mean_bits_per_subcarrier) for p in points)
+
+    def test_non_finite_gains_fail_the_sweep(self, monkeypatch):
+        draw = cli.draw_realization
+
+        def nan_draw(*args, **kwargs):
+            real = draw(*args, **kwargs)
+            gains = real.gains.copy()
+            gains[1, 2] = np.nan
+            return ChannelRealization(gains, real.n_fft)
+
+        monkeypatch.setattr(cli, "draw_realization", nan_draw)
+        with pytest.raises(ValueError, match="^channel gains must be finite$"):
+            run_sweep(small_config())
 
     def test_profile_dimension_mismatch(self, tmp_path):
         pf = tmp_path / "tiny.txt"

@@ -22,9 +22,7 @@ from ofdmse.loading import (
     exhaustive_allocate,
     flat_mask,
     greedy_allocate,
-    load_instance,
     position_ber_table,
-    save_instance,
     sweep_total_bits,
 )
 from ofdmse.loading import (
@@ -71,6 +69,34 @@ def data_grid(sets):
     )
     roles = tuple(tuple(Role.DATA for _ in row) for row in sets)
     return ConstraintGrid(allowed, roles)
+
+
+def save_instance(path, snr: SnrGrid, constraints: ConstraintGrid, p_t: float):
+    """Serialize an allocation problem instance for regression fixtures."""
+    payload = {
+        "p_t": p_t,
+        "gamma": np.asarray(snr.gamma, dtype=float).tolist(),
+        "roles": [[r.value for r in row] for row in constraints.roles],
+        "allowed": [
+            [sorted(str(s) for s in schemes) for schemes in row]
+            for row in constraints.allowed
+        ],
+    }
+    Path(path).write_text(json.dumps(payload, indent=1))
+
+
+def load_instance(path):
+    """Inverse of save_instance: returns (SnrGrid, ConstraintGrid, p_t)."""
+    payload = json.loads(Path(path).read_text())
+    snr = SnrGrid(gamma=np.asarray(payload["gamma"], dtype=float))
+    allowed = tuple(
+        tuple(frozenset(scheme_from_name(n) for n in names) for names in row)
+        for row in payload["allowed"]
+    )
+    roles = tuple(
+        tuple(Role(value) for value in row) for row in payload["roles"]
+    )
+    return snr, ConstraintGrid(allowed, roles), float(payload["p_t"])
 
 
 def random_instance(rng, n_f=2, n_t=2, snr_db=12.0):

@@ -27,8 +27,6 @@ from ofdmse.modulation import (
     ModulationFamily,
     ModulationScheme,
     ber,
-    bits,
-    catalog,
     min_snr_for,
     scheme_from_name,
 )
@@ -62,13 +60,11 @@ def test_catalog_contents():
     # canonical ordering: family index, then order ascending
     keys = [(int(s.family), s.order) for s in CATALOG]
     assert keys == sorted(keys)
-    assert catalog() == CATALOG
 
 
 def test_bits_are_exact_logs():
     for s in CATALOG:
         assert s.bits == int(np.log2(s.order)), f"{s}: bits {s.bits}"
-        assert bits(s) == s.bits
     assert ModulationScheme(QAM, 64).bits == 6
     assert ModulationScheme(ASK, 1).bits == 0
 

@@ -94,6 +94,15 @@ def test_name_normalisation_and_errors():
         build_profile("fb", n_f=0)
 
 
+def test_build_profile_returns_one_object_per_arguments():
+    assert build_profile("lte") is build_profile("lte")
+    assert build_profile("cm", 2, 2) is build_profile("cm", 2, 2)
+    assert build_profile("cm", 2, 3) is not build_profile("cm", 2, 2)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="unknown system name"):
+            build_profile("dvb")
+
+
 def test_saturation_bits():
     assert saturation_bits(build_profile("fb")) == 504
     assert saturation_bits(build_profile("lte")) == 480
