@@ -32,7 +32,13 @@ from pathlib import Path
 import numpy as np
 
 from .ber_sim import SimConfig, simulate_ber
-from .channel import draw_realization, load_channel_profile, snr_grid, tux_profile
+from .channel import (
+    check_dft_fit,
+    draw_realization,
+    load_channel_profile,
+    snr_grid,
+    tux_profile,
+)
 from .loading import sweep_total_bits
 from .metrics import SweepPoint, aggregate, eta_r
 from .modulation import CATALOG, ber, min_snr_for
@@ -84,6 +90,11 @@ class SweepConfig:
             if value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
             object.__setattr__(self, name, int(value))
+        if self.n_f > self.n_fft:
+            raise ValueError(
+                f"n_f ({self.n_f}) must not exceed n_fft ({self.n_fft}): "
+                f"subcarrier k and k + n_fft share one DFT bin"
+            )
         if isinstance(self.systems, str):
             raise TypeError(f"systems must be a sequence of names, got {self.systems!r}")
         for name in ("snr_db", "p_t"):
@@ -236,6 +247,8 @@ def run_sweep(cfg: SweepConfig) -> list:
         if cfg.channel_file is not None
         else tux_profile()
     )
+    # a profile that does not fit fails here, not in every forked worker
+    check_dft_fit(chan, cfg.n_fft, cfg.n_f)
     grids = [profiles[n].grid for n in computed]
     workers = min(cfg.workers, cfg.trials)
     bounds = [(cfg.trials * i) // workers for i in range(workers + 1)]

@@ -23,7 +23,7 @@ def test_tux_profile_values():
     p = tux_profile()
     assert p.delays == (0, 1, 2, 3, 4, 5, 6, 7, 8)
     assert p.powers == (0.269, 0.174, 0.289, 0.117, 0.023, 0.058, 0.036, 0.026, 0.008)
-    assert abs(p.total_power - 1.0) < 1e-12
+    assert abs(sum(p.powers) - 1.0) < 1e-12
 
 
 def test_profile_validation():
@@ -140,6 +140,21 @@ def test_draw_realization_validation():
         draw_realization(p, 12, 0, rng)
     with pytest.raises(ValueError):
         draw_realization(p, 12, 7, rng, n_fft=8)   # delay spread exceeds FFT
+
+
+@pytest.mark.parametrize("n_f,n_fft,first", [(12, 9, 0), (12, 128, 117), (1, 128, 128)])
+def test_realization_refuses_subcarriers_beyond_the_dft(n_f, n_fft, first):
+    # bin k is bin k mod n_fft, so these grids would repeat rows
+    with pytest.raises(ValueError, match=f"do not fit n_fft={n_fft}"):
+        draw_realization(tux_profile(), n_f, 7, np.random.default_rng(0), n_fft=n_fft,
+                         first_subcarrier=first)
+
+
+def test_realization_fills_the_dft_exactly():
+    r = draw_realization(tux_profile(), 12, 3, np.random.default_rng(0), n_fft=16,
+                         first_subcarrier=4)
+    assert r.gains.shape == (12, 3)
+    assert draw_realization(tux_profile(), 9, 2, np.random.default_rng(0), n_fft=9).n_f == 9
 
 
 def test_snr_grid_values_and_validation():

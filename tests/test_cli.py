@@ -111,6 +111,11 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match=f"^{field} must be >= {least}, got {least - 1}$"):
             SweepConfig(**{field: least - 1})
 
+    def test_more_subcarriers_than_dft_bins_refused(self):
+        with pytest.raises(ValueError, match=r"^n_f \(12\) must not exceed n_fft \(9\)"):
+            SweepConfig(n_f=12, n_fft=9)
+        assert SweepConfig(n_f=9, n_fft=9).n_f == 9
+
     @pytest.mark.parametrize("field", ["trials", "seed", "workers", "n_fft", "n_f", "n_t"])
     @pytest.mark.parametrize("value", [2.7, 3.0, True, "3", None])
     def test_integer_fields_reject_other_types(self, field, value):
@@ -406,6 +411,26 @@ class TestMain:
                 main(argv)
             assert err.value.code == 2
         capsys.readouterr()
+
+    def test_grid_beyond_the_dft_refused(self, tmp_path, capsys):
+        # rows 9-11 of such a grid would repeat rows 0-2
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"n_f": 12, "nfft": 9, "trials": 2, "snr_db": [20]}))
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", "--config", str(cfg_file)])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "n_f (12) must not exceed n_fft (9)" in captured.err
+
+    def test_delay_spread_beyond_the_dft_refused_before_any_worker(self, monkeypatch):
+        def no_fan_out(*args):
+            raise AssertionError("the sweep started its workers")
+
+        monkeypatch.setattr(cli, "_fan_out", no_fan_out)
+        cfg = SweepConfig(systems=("fb",), snr_db=(20.0,), trials=2, workers=2,
+                          n_fft=8, n_f=4, n_t=2)
+        with pytest.raises(ValueError, match="^delay spread 8 does not fit n_fft=8$"):
+            run_sweep(cfg)
 
     @pytest.mark.parametrize("key", ["trials", "seed", "workers", "nfft", "n_f", "n_t"])
     @pytest.mark.parametrize("value", [2.7, True, "3"])

@@ -31,8 +31,10 @@ from ofdmse.loading import (
     _LEVEL_AT,
     _LEVELS,
     _NO_MOVE,
+    _SCREEN,
     _ber_table,
     _block_core,
+    _block_cost,
     _dense_candidates,
     _greedy_lockstep,
     _initial_silent,
@@ -908,6 +910,123 @@ class TestBlockCore:
                     assert best[c, m] == ref_idx[mask[m, best[c, m]]][0]
                 else:
                     assert CATALOG[best[c, m]].silent
+
+
+def full_block_table(gamma):
+    """The bits x BER table the block core scored before _block_cost."""
+    table = _ber_table(gamma)
+    table *= CATALOG_BITS[:, None]
+    return table
+
+
+def fits_on(masks, table, p_t):
+    """Which (row, grid, scheme) fit within p_t on a (rows, schemes, N)
+    table, by the block core's own average, with each one's w."""
+    w = CATALOG_BITS * np.count_nonzero(masks, axis=-1)
+    weighted = np.where(masks[None], table[:, None], 0.0).sum(axis=-1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return (w > 0) & (weighted / w <= p_t), w
+
+
+@st.composite
+def block_cost_problems(draw):
+    """Masks of several grids (a silent scheme kept at every position) on
+    1-16 positions, so that both N <= _SCREEN and N > _SCREEN occur, flat
+    gammas that include 0 and 1e300, and p_t.
+
+    "wide_low" thins the 64-QAM row to one position, so a lower bits level
+    has the larger w.  p_t is log-uniform in (1e-9, 0.5), or, "at_limit",
+    one scheme's exact average on one row, which must still fit.
+    """
+    n_masks, rows, n = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 16))
+    masks = draw(arrays(bool, (n_masks, N_SCHEMES, n)))
+    keep = draw(arrays(np.int64, (n_masks, 1, n), elements=st.sampled_from(SILENT_ROWS)))
+    np.put_along_axis(masks, keep, True, axis=1)
+    if draw(st.booleans()):  # "wide_low"
+        top = CATALOG_BITS.argmax()
+        masks[:, top, 1:] = False
+    gamma = draw(arrays(float, (rows, n), elements=st.one_of(
+        st.sampled_from([0.0, 1e300]), st.floats(-2.0, 6.0).map(lambda e: 10.0 ** e))))
+    p_t = 10.0 ** draw(st.floats(-9.0, math.log10(0.5), exclude_max=True))
+    if draw(st.booleans()):  # "at_limit"
+        m, r = draw(st.integers(0, n_masks - 1)), draw(st.integers(0, rows - 1))
+        i = draw(st.sampled_from([i for i, s in enumerate(CATALOG) if not s.silent]))
+        w = CATALOG[i].bits * np.count_nonzero(masks[m, i])
+        if w:
+            avg = float(np.sum(np.where(masks[m, i], full_block_table(gamma)[r, i], 0.0))) / w
+            if 0.0 < avg < 0.5:
+                p_t = avg
+    return masks, gamma, p_t
+
+
+class TestBlockCost:
+    """_block_cost fills only the entries a block total can depend on; the
+    block core gives the full table's W on it."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(problem=block_cost_problems())
+    def test_core_gives_the_full_tables_totals(self, problem):
+        masks, gamma, p_t = problem
+        lazy, full = _block_cost(masks, gamma, p_t), full_block_table(gamma)
+        w_lazy = _block_core(masks[None], lazy[:, None], p_t)[2]
+        w_full = _block_core(masks[None], full[:, None], p_t)[2]
+        np.testing.assert_array_equal(w_lazy, w_full)
+        # an entry is exact or a whole +inf row, and silent rows are 0
+        filled = np.isfinite(lazy).all(axis=-1)
+        assert (np.isinf(lazy).all(axis=-1) | filled).all()
+        assert lazy[filled].tobytes() == full[filled].tobytes()
+        assert not lazy[:, SILENT_ROWS].any()
+        # every row left +inf is infeasible or unneeded on the full table
+        fits, w = fits_on(masks, full, p_t)
+        unneeded = w[None] <= w_full[:, :, None]
+        assert (~fits | unneeded)[~filled[:, None].repeat(len(masks), axis=1)].all()
+
+    @pytest.mark.parametrize("p_t", [1e-3, 1e-2])
+    def test_default_draws(self, p_t):
+        masks = np.stack([flat_mask(build_profile(n).grid) for n in ("fb", "cm", "lte", "mlte")])
+        for snrs in sweep_draws(2):
+            gamma = np.stack([np.ascontiguousarray(s.gamma.T).ravel() for s in snrs])
+            lazy = _block_cost(masks, gamma, p_t)
+            assert np.isinf(lazy).any()
+            np.testing.assert_array_equal(
+                _block_core(masks[None], lazy[:, None], p_t)[2],
+                _block_core(masks[None], full_block_table(gamma)[:, None], p_t)[2])
+
+    def test_screen_keeps_a_row_exactly_at_the_limit(self):
+        # the BERs at gamma 1e300 are 0, so the screen's _SCREEN lowest
+        # gammas hold the whole row sum, and p_t is the row's exact average
+        n = _SCREEN + 4
+        gamma = np.array([[*np.geomspace(2.0, 9.0, _SCREEN), *[1e300] * 4]])
+        qam4 = CATALOG.index(scheme_from_name("QAM4"))
+        masks = np.zeros((1, N_SCHEMES, n), dtype=bool)
+        masks[0, [SILENT_ROWS[0], qam4]] = True
+        p_t = float(np.sum(full_block_table(gamma)[0, qam4])) / (2 * n)
+        lazy = _block_cost(masks, gamma, p_t)
+        assert _block_core(masks[None], lazy[:, None], p_t)[2].tolist() == [[2 * n]]
+
+    @pytest.mark.parametrize("bad,match", [(math.nan, "finite"), (-1.0, "non-negative")])
+    def test_bad_gamma_in_an_unneeded_row_raises(self, bad, match):
+        silent_only = data_grid([[()] * 7] * 12)
+        gammas = np.ones((3, 12, 7))
+        gammas[1, 4, 2] = bad
+        with pytest.raises(ValueError, match=match):
+            sweep_total_bits([silent_only], gammas, 1e-3, "block")
+
+    def test_one_draw_block_call_stays_within_the_full_tables_peak(self):
+        # a one-draw call traced 963,744 bytes at its peak when the block
+        # sweep built the full table, and about 932,500 since; the core's
+        # masked copy of the table is most of it
+        grids = [build_profile(n).grid for n in ("fb", "cm", "lte", "mlte")]
+        gammas = np.stack([s.gamma for s in sweep_draws(1)[0]])
+        expected = sweep_total_bits(grids, gammas, 1e-3, "block")
+        tracemalloc.start()
+        try:
+            totals = sweep_total_bits(grids, gammas, 1e-3, "block")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(totals, expected)
+        assert peak <= 963_744
 
 
 class TestInstanceRoundTrip:
