@@ -110,6 +110,8 @@ class SweepConfig:
                 )
         if len(set(self.systems)) != len(self.systems):
             raise ValueError("duplicate system names")
+        if len(set(self.p_t)) != len(self.p_t):
+            raise ValueError("duplicate p_t values")
         if not self.snr_db:
             raise ValueError("empty SNR grid")
         for snr in self.snr_db:
@@ -154,10 +156,9 @@ def _resolve_profiles(cfg: SweepConfig):
     return out_names, computed, profiles
 
 
-#: Channel draws loaded per sweep_total_bits call in subcarrier granularity.
-#: The lockstep greedy loader's cost per step is mostly fixed, so more draws
-#: per call spread it over more grids; its memory grows with the batch.
-#: Block granularity loads one draw per call, where batching gains nothing.
+#: Channel draws loaded per sweep_total_bits call, in either granularity.
+#: Both loaders' cost per call is mostly fixed numpy overhead, so more draws
+#: per call spread it over more grids; their memory grows with the batch.
 DRAWS_PER_CALL = 2
 
 
@@ -172,11 +173,10 @@ def _sweep_chunk(cfg, chan, grids, lo, hi):
     the batching nor the split shows in the output.
     """
     noise_vars = np.array([_noise_var(s) for s in cfg.snr_db])
-    batch = DRAWS_PER_CALL if cfg.granularity == "subcarrier" else 1
     out = np.zeros((len(cfg.p_t), len(cfg.snr_db), len(grids), hi - lo), dtype=np.int64)
     for pt_i, p_t in enumerate(cfg.p_t):
-        for first in range(lo, hi, batch):
-            trials = range(first, min(first + batch, hi))
+        for first in range(lo, hi, DRAWS_PER_CALL):
+            trials = range(first, min(first + DRAWS_PER_CALL, hi))
             gammas = []
             for trial in trials:
                 rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, pt_i, trial)))

@@ -86,7 +86,7 @@ _BITS_DESCENDING = sorted((i for i, s in enumerate(CATALOG) if not s.silent),
                           key=lambda i: -CATALOG[i].bits)
 
 #: Positions, those of the lowest gammas, at which the block sweep's filler
-#: screens a row before it computes the whole row (see _block_cost).
+#: screens a row before it computes the whole row (see _block_totals).
 _SCREEN = 8
 
 
@@ -512,31 +512,27 @@ def sweep_total_bits(grids, gammas, p_t: float, granularity: str) -> np.ndarray:
     granularity) or block_allocate ("block") would give for each pair.  The
     SNR grids may come from one channel draw or several; each row depends
     only on its own SNR grid.  The gammas are checked once for the whole
-    stack, and one batched call of either loader core scores every pair.
-    The SNR grids must share the constraint grids' shape, and p_t must lie
-    in (0, 0.5).  The sweep's grids are all new, so this bypasses the memo.
+    stack.  The SNR grids must share the constraint grids' shape, and p_t
+    must lie in (0, 0.5).  The sweep's grids are all new, so this bypasses
+    the memo.
 
-    The greedy core scores the full bits x BER table, one BER kernel call
-    per scheme over every SNR grid.  The block core scores _block_cost's
-    table instead, which holds the exact entries wherever a block total can
-    depend on them and +inf rows elsewhere.  _ber_kernel is elementwise, so
-    an exact row holds the full table's floats; a +inf row sums to inf and
-    reads as infeasible.  Only W is returned, the largest w that fits, so
-    which scheme wins a tie at equal w does not matter, and every row that
-    could fit with a w above the best found is exact.  So the totals are
-    the full table's, by monotone rounding alone and no property of scipy.
+    In subcarrier granularity one batched call of the greedy core scores
+    the full bits x BER table, one BER kernel call per scheme over every
+    SNR grid.  In block granularity _block_totals gives W directly: it
+    computes only the rows a block total can depend on and keeps the best
+    W per pair with the block core's own _block_scores arithmetic, so the
+    totals are block_allocate's (see _block_totals for why).
     """
     masks = np.stack([flat_mask(g) for g in grids])
     gammas = np.asarray(gammas, dtype=float)
     # a C-order copy of each grid flattened time-major, as _flat_gamma
     flat = gammas.transpose(0, 2, 1).reshape(len(gammas), -1)
-    if granularity == "subcarrier":
-        cost, core = _ber_table(flat), _greedy_lockstep
-        cost *= CATALOG_BITS[:, None]
-    else:
-        cost, core = _block_cost(masks, flat, p_t), _block_core
-    del flat  # the cores never read it; freed, it stays out of their peak
-    return core(masks[None], cost[:, None], p_t)[2]
+    if granularity != "subcarrier":
+        return _block_totals(masks, flat, p_t)
+    cost = _ber_table(flat)
+    cost *= CATALOG_BITS[:, None]
+    del flat  # the core never reads it; freed, it stays out of its peak
+    return _greedy_lockstep(masks[None], cost[:, None], p_t)[2]
 
 
 def exhaustive_allocate(
@@ -668,11 +664,13 @@ def _block_scores(mask, cost, bits, p_t):
     mask and cost are (..., N) rows that broadcast against each other, and
     bits broadcasts against their (...) shape.  A row that loads nothing
     averages +inf.  The sum runs over the C-contiguous last axis, so one
-    row's sum is the same float in any batch.
+    row's sum is the same float in any batch.  _block_core (block_allocate)
+    and _block_totals (the block sweep) both score rows with it, so they
+    decide every fit on the same floats.
     """
     # cost where allowed, +0.0 elsewhere, as np.where gives it but without
-    # the buffers np.where takes to broadcast, which would add to the block
-    # sweep's memory peak; freed once summed
+    # np.where's extra buffers, which would add to a single-grid call's
+    # memory peak; freed once summed
     loaded = np.zeros(np.broadcast(mask, cost).shape)
     np.copyto(loaded, cost, where=mask)
     weighted = loaded.sum(axis=-1)
@@ -682,39 +680,38 @@ def _block_scores(mask, cost, bits, p_t):
     return weighted, avg, np.where(avg <= p_t, w, 0)
 
 
-def _block_cost(masks, gamma, p_t):
-    """The bits x BER table that the block core needs to give each grid's W.
+def _block_totals(masks, gamma, p_t):
+    """W, the total block_allocate gives, of every (SNR grid, constraint grid).
 
     masks is (grids, n_schemes, N), gamma (rows, N) flat gammas.  Returns
-    (rows, n_schemes, N): silent rows 0, and each other row either exact,
-    the bytes _ber_table times the bits would hold, or +inf.  The gammas
-    are checked once, with _ber_table's ValueError.
+    int64 (rows, grids), the block core's W on the full bits x BER table,
+    without building that table.  The gammas are checked once, with
+    _ber_table's ValueError.
 
     The schemes are taken the most bits first.  A row needs a scheme when
     some grid allows it with w = bits x allowed count above the best W that
-    grid has so far; otherwise the row stays +inf.  When N > _SCREEN, one
+    grid has so far; otherwise the row is skipped.  When N > _SCREEN, one
     kernel call covers each row's _SCREEN lowest gammas, placed in a zero
     row, and _block_scores sums it as the core sums a row.  Every rounding
     in that fixed summation tree is monotone and the zeros stand for
     non-negative BERs, so the sum is a lower bound on the full row's
     computed sum, and division by w > 0 is monotone too.  A row whose bound
-    already averages above p_t for every grid that needs it stays +inf.
-    One kernel call then fills the remaining rows exactly, and the same
+    already averages above p_t for every grid that needs it is skipped.
+    One kernel call then computes the remaining rows exactly, and the same
     _block_scores decides which grids they fit and raises their best W.
 
-    Why the core's W cannot change: _ber_kernel is elementwise, so an exact
-    row holds the full table's floats.  A +inf row sums to inf and reads as
-    infeasible.  W is the largest feasible w, and each row left +inf is
-    either infeasible on the full table or has w at most a W already found
-    feasible, for every grid.  The test is w > best per grid, not the bits
-    order, so a lower level with the larger w (a custom profile may allow
-    64-QAM at one position only) is still computed.  The argument needs
-    monotone rounding and non-negative BERs, no property of scipy.
+    Why this is the core's W: _ber_kernel is elementwise, so an exact row
+    holds the full table's floats, and _block_scores sums each row over the
+    contiguous last axis, the same float in any batch.  W is the largest
+    feasible w, 0 where none fits as best starts, and each skipped row is either infeasible on the full table
+    or has w at most a W already found feasible, for every grid.  The test
+    is w > best per grid, not the bits order, so a lower level with the
+    larger w (a custom profile may allow 64-QAM at one position only) is
+    still computed.  The argument needs monotone rounding and non-negative
+    BERs, no property of scipy.
     """
     gamma = _checked_gamma(gamma)
     rows, n = gamma.shape
-    cost = np.full((rows, N_SCHEMES, n), np.inf)
-    cost[:, _SILENT_ROWS] = 0.0
     best = np.zeros((rows, len(masks)), dtype=np.int64)
     if n > _SCREEN:
         low_at = np.argpartition(gamma, _SCREEN - 1, axis=1)[:, :_SCREEN]
@@ -730,10 +727,9 @@ def _block_cost(masks, gamma, p_t):
             at = at[~((low > p_t) | ~need[at]).all(axis=1)]
         if at.size:
             full = s.bits * _ber_kernel(s, gamma[at])
-            cost[at, i] = full
             fit = _block_scores(mask, full[:, None], s.bits, p_t)[2]
             best[at] = np.maximum(best[at], fit)
-    return cost
+    return best
 
 
 def block_allocate(

@@ -86,6 +86,8 @@ class TestSweepConfig:
             SweepConfig(systems=("dvb",))
         with pytest.raises(ValueError):
             SweepConfig(systems=("fb", "fb"))
+        with pytest.raises(ValueError, match="^duplicate p_t values$"):
+            SweepConfig(p_t=(1e-2, 1e-3, 0.001))
         with pytest.raises(ValueError):
             SweepConfig(p_t=(0.6,))
         with pytest.raises(ValueError):
@@ -404,6 +406,7 @@ class TestMain:
             ["sweep", "--systems", "dvb", "--trials", "2"],
             ["sweep", "--snr-db", "0:-2:40"],
             ["sweep", "--pt", "0.9", "--trials", "2"],
+            ["sweep", "--pt", "1e-3,0.001", "--trials", "2"],
             ["validate-ber", "--symbols", "10"],
             [],
         ):

@@ -15,6 +15,7 @@ from hypothesis.extra.numpy import arrays
 
 from ofdmse import loading
 from ofdmse.channel import SnrGrid, draw_realization, snr_grid, tux_profile
+from ofdmse.cli import DRAWS_PER_CALL
 from ofdmse.loading import (
     Allocation,
     block_allocate,
@@ -34,7 +35,7 @@ from ofdmse.loading import (
     _SCREEN,
     _ber_table,
     _block_core,
-    _block_cost,
+    _block_totals,
     _dense_candidates,
     _greedy_lockstep,
     _initial_silent,
@@ -913,23 +914,19 @@ class TestBlockCore:
 
 
 def full_block_table(gamma):
-    """The bits x BER table the block core scored before _block_cost."""
+    """The full bits x BER table that block_allocate's core scores."""
     table = _ber_table(gamma)
     table *= CATALOG_BITS[:, None]
     return table
 
 
-def fits_on(masks, table, p_t):
-    """Which (row, grid, scheme) fit within p_t on a (rows, schemes, N)
-    table, by the block core's own average, with each one's w."""
-    w = CATALOG_BITS * np.count_nonzero(masks, axis=-1)
-    weighted = np.where(masks[None], table[:, None], 0.0).sum(axis=-1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return (w > 0) & (weighted / w <= p_t), w
+def full_table_totals(masks, gamma, p_t):
+    """The block core's W of every (row, grid) on the full table."""
+    return _block_core(masks[None], full_block_table(gamma)[:, None], p_t)[2]
 
 
 @st.composite
-def block_cost_problems(draw):
+def block_totals_problems(draw):
     """Masks of several grids (a silent scheme kept at every position) on
     1-16 positions, so that both N <= _SCREEN and N > _SCREEN occur, flat
     gammas that include 0 and 1e300, and p_t.
@@ -960,37 +957,43 @@ def block_cost_problems(draw):
 
 
 class TestBlockCost:
-    """_block_cost fills only the entries a block total can depend on; the
-    block core gives the full table's W on it."""
+    """_block_totals computes only the BER rows a block total can depend
+    on, and gives the block core's W on the full table."""
 
     @settings(max_examples=300, deadline=None)
-    @given(problem=block_cost_problems())
-    def test_core_gives_the_full_tables_totals(self, problem):
+    @given(problem=block_totals_problems())
+    def test_equals_the_full_tables_totals(self, problem):
         masks, gamma, p_t = problem
-        lazy, full = _block_cost(masks, gamma, p_t), full_block_table(gamma)
-        w_lazy = _block_core(masks[None], lazy[:, None], p_t)[2]
-        w_full = _block_core(masks[None], full[:, None], p_t)[2]
-        np.testing.assert_array_equal(w_lazy, w_full)
-        # an entry is exact or a whole +inf row, and silent rows are 0
-        filled = np.isfinite(lazy).all(axis=-1)
-        assert (np.isinf(lazy).all(axis=-1) | filled).all()
-        assert lazy[filled].tobytes() == full[filled].tobytes()
-        assert not lazy[:, SILENT_ROWS].any()
-        # every row left +inf is infeasible or unneeded on the full table
-        fits, w = fits_on(masks, full, p_t)
-        unneeded = w[None] <= w_full[:, :, None]
-        assert (~fits | unneeded)[~filled[:, None].repeat(len(masks), axis=1)].all()
+        totals = _block_totals(masks, gamma, p_t)
+        assert totals.dtype == np.int64
+        np.testing.assert_array_equal(totals, full_table_totals(masks, gamma, p_t))
 
     @pytest.mark.parametrize("p_t", [1e-3, 1e-2])
     def test_default_draws(self, p_t):
         masks = np.stack([flat_mask(build_profile(n).grid) for n in ("fb", "cm", "lte", "mlte")])
+        real_kernel, computed = loading._ber_kernel, []
+
+        def counting(s, gamma):
+            computed.append(np.size(gamma))
+            return real_kernel(s, gamma)
+
         for snrs in sweep_draws(2):
             gamma = np.stack([np.ascontiguousarray(s.gamma.T).ravel() for s in snrs])
-            lazy = _block_cost(masks, gamma, p_t)
-            assert np.isinf(lazy).any()
+            with mock.patch.object(loading, "_ber_kernel", counting):
+                totals = _block_totals(masks, gamma, p_t)
+            np.testing.assert_array_equal(totals, full_table_totals(masks, gamma, p_t))
+        # under half the BERs of the two draws' full tables
+        full = 2 * gamma.size * (N_SCHEMES - len(SILENT_ROWS))
+        assert sum(computed) < full / 2
+
+    def test_block_sweep_builds_no_table(self):
+        grids = [build_profile(n).grid for n in ("fb", "cm", "lte", "mlte")]
+        gammas = np.stack([s.gamma for s in sweep_draws(1)[0]])
+        expected = sweep_total_bits(grids, gammas, 1e-3, "block")
+        with mock.patch.object(loading, "_ber_table", side_effect=AssertionError), \
+                mock.patch.object(loading, "_block_core", side_effect=AssertionError):
             np.testing.assert_array_equal(
-                _block_core(masks[None], lazy[:, None], p_t)[2],
-                _block_core(masks[None], full_block_table(gamma)[:, None], p_t)[2])
+                sweep_total_bits(grids, gammas, 1e-3, "block"), expected)
 
     def test_screen_keeps_a_row_exactly_at_the_limit(self):
         # the BERs at gamma 1e300 are 0, so the screen's _SCREEN lowest
@@ -1001,8 +1004,7 @@ class TestBlockCost:
         masks = np.zeros((1, N_SCHEMES, n), dtype=bool)
         masks[0, [SILENT_ROWS[0], qam4]] = True
         p_t = float(np.sum(full_block_table(gamma)[0, qam4])) / (2 * n)
-        lazy = _block_cost(masks, gamma, p_t)
-        assert _block_core(masks[None], lazy[:, None], p_t)[2].tolist() == [[2 * n]]
+        assert _block_totals(masks, gamma, p_t).tolist() == [[2 * n]]
 
     @pytest.mark.parametrize("bad,match", [(math.nan, "finite"), (-1.0, "non-negative")])
     def test_bad_gamma_in_an_unneeded_row_raises(self, bad, match):
@@ -1012,21 +1014,22 @@ class TestBlockCost:
         with pytest.raises(ValueError, match=match):
             sweep_total_bits([silent_only], gammas, 1e-3, "block")
 
-    def test_one_draw_block_call_stays_within_the_full_tables_peak(self):
-        # a one-draw call traced 963,744 bytes at its peak when the block
-        # sweep built the full table, and about 932,500 since; the core's
-        # masked copy of the table is most of it
+    @pytest.mark.parametrize("p_t", [1e-3, 1e-2])
+    def test_block_sweep_call_stays_within_its_memory(self, p_t):
+        # a DRAWS_PER_CALL-draw call traces about 0.31 MB at p_t 1e-3 and
+        # 0.51 MB at 1e-2
         grids = [build_profile(n).grid for n in ("fb", "cm", "lte", "mlte")]
-        gammas = np.stack([s.gamma for s in sweep_draws(1)[0]])
-        expected = sweep_total_bits(grids, gammas, 1e-3, "block")
+        gammas = np.stack([s.gamma for d in sweep_draws(DRAWS_PER_CALL) for s in d])
+        expected = full_table_totals(np.stack([flat_mask(g) for g in grids]),
+                                     gammas.transpose(0, 2, 1).reshape(len(gammas), -1), p_t)
         tracemalloc.start()
         try:
-            totals = sweep_total_bits(grids, gammas, 1e-3, "block")
+            totals = sweep_total_bits(grids, gammas, p_t, "block")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         np.testing.assert_array_equal(totals, expected)
-        assert peak <= 963_744
+        assert peak <= 650_000
 
 
 class TestInstanceRoundTrip:
