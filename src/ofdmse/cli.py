@@ -145,7 +145,7 @@ def _resolve_profiles(cfg: SweepConfig):
                 f"custom profile is {custom.grid.n_f} x {custom.grid.n_t}, "
                 f"sweep grid is {cfg.n_f} x {cfg.n_t}"
             )
-        if custom.name in profiles:
+        if custom.name in SYSTEM_NAMES:
             raise ValueError(f"custom profile name {custom.name!r} collides")
         profiles[custom.name] = custom
         out_names.append(custom.name)

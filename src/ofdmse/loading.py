@@ -668,13 +668,7 @@ def _block_scores(mask, cost, bits, p_t):
     and _block_totals (the block sweep) both score rows with it, so they
     decide every fit on the same floats.
     """
-    # cost where allowed, +0.0 elsewhere, as np.where gives it but without
-    # np.where's extra buffers, which would add to a single-grid call's
-    # memory peak; freed once summed
-    loaded = np.zeros(np.broadcast(mask, cost).shape)
-    np.copyto(loaded, cost, where=mask)
-    weighted = loaded.sum(axis=-1)
-    del loaded
+    weighted = np.where(mask, cost, 0.0).sum(axis=-1)
     w = bits * mask.sum(axis=-1)
     avg = np.divide(weighted, w, out=np.full(weighted.shape, np.inf), where=w > 0)
     return weighted, avg, np.where(avg <= p_t, w, 0)
@@ -703,12 +697,12 @@ def _block_totals(masks, gamma, p_t):
     Why this is the core's W: _ber_kernel is elementwise, so an exact row
     holds the full table's floats, and _block_scores sums each row over the
     contiguous last axis, the same float in any batch.  W is the largest
-    feasible w, 0 where none fits as best starts, and each skipped row is either infeasible on the full table
-    or has w at most a W already found feasible, for every grid.  The test
-    is w > best per grid, not the bits order, so a lower level with the
-    larger w (a custom profile may allow 64-QAM at one position only) is
-    still computed.  The argument needs monotone rounding and non-negative
-    BERs, no property of scipy.
+    feasible w, 0 where none fits as best starts, and each skipped row is
+    either infeasible on the full table or has w at most a W already found
+    feasible, for every grid.  The test is w > best per grid, not the bits
+    order, so a lower level with the larger w (a custom profile may allow
+    64-QAM at one position only) is still computed.  The argument needs
+    monotone rounding and non-negative BERs, no property of scipy.
     """
     gamma = _checked_gamma(gamma)
     rows, n = gamma.shape

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +48,8 @@ class ConstraintGrid:
 
     ``allowed[k][l]`` is the frozenset of schemes position (k, l) may use.
     Every position keeps at least one order-1 scheme so an allocator can
-    always fall back to silence.
+    always fall back to silence.  ``allowed_mask`` is the same sets as a
+    read-only boolean (n_schemes, n_f, n_t) array, built with the checks.
     """
 
     allowed: tuple[tuple[frozenset, ...], ...]
@@ -64,15 +65,9 @@ class ConstraintGrid:
             len(row) != n_t for row in self.roles
         ):
             raise ValueError("roles shape does not match allowed shape")
-        # each (allowed set, role) pair of objects is checked once, keyed by
-        # identity, which hashes neither a scheme nor a role; a pair that
-        # fails is never recorded, so its first position, row-major, raises
-        passed = set()
+        mask = np.zeros((len(CATALOG), len(self.allowed), n_t), dtype=bool)
         for k, (row, role_row) in enumerate(zip(self.allowed, self.roles)):
             for l, (schemes, role) in enumerate(zip(row, role_row)):
-                key = (id(schemes), id(role))
-                if key in passed:
-                    continue
                 if not schemes:
                     raise ValueError(f"empty allowed set at ({k}, {l})")
                 if not schemes <= FULL_SET:
@@ -85,7 +80,9 @@ class ConstraintGrid:
                     raise ValueError(
                         f"amplitude position ({k}, {l}) must be ASK-only"
                     )
-                passed.add(key)
+                mask[[CATALOG_INDEX[s] for s in schemes], k, l] = True
+        mask.flags.writeable = False
+        object.__setattr__(self, "allowed_mask", mask)
 
     @property
     def n_f(self) -> int:
@@ -94,19 +91,6 @@ class ConstraintGrid:
     @property
     def n_t(self) -> int:
         return len(self.allowed[0])
-
-    @cached_property
-    def allowed_mask(self) -> np.ndarray:
-        """Read-only boolean (n_schemes, n_f, n_t) view of the allowed sets."""
-        # one catalog-row vector per distinct allowed set, gathered per position
-        sets = {}
-        which = [[sets.setdefault(x, len(sets)) for x in row] for row in self.allowed]
-        vectors = np.zeros((len(sets), len(CATALOG)), dtype=bool)
-        for schemes, i in sets.items():
-            vectors[i, [CATALOG_INDEX[s] for s in schemes]] = True
-        mask = np.ascontiguousarray(vectors[np.array(which)].transpose(2, 0, 1))
-        mask.flags.writeable = False
-        return mask
 
 
 @dataclass(frozen=True)

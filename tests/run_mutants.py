@@ -7,17 +7,19 @@ Usage, from the root of a checkout (stdlib only, not part of tier-1):
 
 Each entry of mutants.json names a file, an exact old text that must occur
 there once, the new text that replaces it, and the test files that must
-fail on the result.  The runner copies src/, tests/ and pyproject.toml to a
-temporary directory and first checks that every old text still matches
-exactly once: a refactor that moves the code must re-target its mutants,
-and a stale entry stops the run before any test runs.  It then runs the
-listed test files on the clean copy, which must pass, and on each mutant
-in turn, which must fail.  Hypothesis runs with a fixed seed, so a run is
-repeatable.
+fail on the result.  An entry with an "equivalent" key records a mutant
+that no test can kill, with the reason; it is checked like the others but
+never run.  The runner first checks every entry (see entry_problems): a
+refactor that moves the code must re-target its mutants, and a stale entry
+stops the run before any test runs.  tests/test_mutants.py makes the same
+check in tier-1.  The runner then copies src/, tests/ and pyproject.toml
+to a temporary directory and runs the listed test files on the clean copy,
+which must pass, and on each mutant in turn, which must fail.  Hypothesis
+runs with a fixed seed, so a run is repeatable.
 
 Exit status: 0 when the clean copy passes and every mutant is killed,
-1 when a mutant survives or errors, 2 when an entry is stale or the clean
-copy fails.
+1 when a mutant survives or errors, 2 when an entry is stale or malformed
+or the clean copy fails.
 """
 
 import json
@@ -41,23 +43,42 @@ def pytest(copy: Path, tests) -> tuple[int, str]:
     return proc.returncode, lines[-1]
 
 
+def entry_problems(mutants) -> list[str]:
+    """What is wrong with the entries: a repeated id, a new text equal to
+    its old text, a listed test file that does not exist, or an old text
+    that does not occur exactly once in its file."""
+    problems, ids = [], set()
+    for m in mutants:
+        if m["id"] in ids:
+            problems.append(f"{m['id']}: id repeated")
+        ids.add(m["id"])
+        if m["new"] == m["old"]:
+            problems.append(f"{m['id']}: new text equals old text")
+        problems += [f"{m['id']}: no test file {t}" for t in m["tests"]
+                     if not (ROOT / t).is_file()]
+        count = (ROOT / m["file"]).read_text().count(m["old"])
+        if count != 1:
+            problems.append(f"{m['id']}: old text occurs {count} times in {m['file']}")
+    return problems
+
+
 def main(argv) -> int:
     mutants = json.loads(MUTANTS.read_text())
+    problems = entry_problems(mutants)
+    if problems:
+        print("BAD mutant entries; fix them, re-targeting stale texts at the current code:")
+        print("\n".join("  " + s for s in problems))
+        return 2
     if argv:
         unknown = set(argv) - {m["id"] for m in mutants}
         if unknown:
             print(f"unknown mutant ids: {', '.join(sorted(unknown))}")
             return 2
         mutants = [m for m in mutants if m["id"] in argv]
-    stale = []
     for m in mutants:
-        count = (ROOT / m["file"]).read_text().count(m["old"])
-        if count != 1:
-            stale.append(f"{m['id']}: old text occurs {count} times in {m['file']}")
-    if stale:
-        print("STALE mutants; re-target them at the current code:")
-        print("\n".join("  " + s for s in stale))
-        return 2
+        if "equivalent" in m:
+            print(f"{m['id']}: equivalent, not run: {m['equivalent']}")
+    mutants = [m for m in mutants if "equivalent" not in m]
     copy = Path(tempfile.mkdtemp(prefix="ofdmse-mutants-"))
     try:
         shutil.copytree(ROOT / "src", copy / "src")

@@ -517,6 +517,20 @@ class TestMain:
         assert seen == [SweepConfig()]
         assert capsys.readouterr().out == CSV_HEADER + "\n"
 
+    def test_custom_profile_named_like_a_built_in_system_refused(self, tmp_path, capsys):
+        # a BPSK-only fb.txt would otherwise replace fb as the eta_R reference
+        pf = tmp_path / "fb.txt"
+        lines = ["2 2"] + [f"{p // 2} {p % 2} data psk:2" for p in range(4)]
+        pf.write_text("\n".join(lines) + "\n")
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"n_f": 2, "n_t": 2, "nfft": 16}))
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", "--config", str(cfg_file), "--systems", "cm", "--profile-file",
+                  str(pf), "--snr-db", "20", "--trials", "3"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "custom profile name 'fb' collides" in captured.err
+
     def test_unknown_config_key(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"snr": "0:2:40"}))
