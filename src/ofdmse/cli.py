@@ -156,36 +156,44 @@ def _resolve_profiles(cfg: SweepConfig):
     return out_names, computed, profiles
 
 
-#: Channel draws loaded per sweep_total_bits call, in either granularity.
-#: Both loaders' cost per call is mostly fixed numpy overhead, so more draws
-#: per call spread it over more grids; their memory grows with the batch.
-DRAWS_PER_CALL = 2
+#: Channel draws loaded per sweep_total_bits call, per granularity.  Each
+#: loader's cost per call is mostly fixed numpy overhead, so more draws per
+#: call spread it over more grids, while its memory grows with the batch.
+#: The block filler traces a sixth to a tenth of the greedy's peak per
+#: draw, so eight block draws peak below two greedy draws; four greedy
+#: draws were only a little faster (see README "How a sweep is batched").
+DRAWS_PER_CALL = {"subcarrier": 2, "block": 8}
 
 
 def _sweep_chunk(cfg, chan, grids, lo, hi):
     """Per-trial bit totals for trials [lo, hi), as (p_t, snr, system, trial).
 
     The parent runs the first chunk of a sweep and forked children the rest
-    (see _fan_out).  Each sweep_total_bits call loads every SNR point and
-    system of a few channel draws, so memory does not grow with trials.
-    Each trial's draw depends only on (seed, p_t index, trial), and the
-    loader's totals do not depend on which draws share a call, so neither
-    the batching nor the split shows in the output.
+    (see _fan_out).  The chunk's (p_t, trial) draws are taken target-major
+    and loaded DRAWS_PER_CALL[granularity] at a time, so a call may span
+    two targets, and each SNR grid is compared with its own draw's target.
+    Each sweep_total_bits call loads every SNR point and system of its
+    draws, so memory does not grow with trials.  Each trial's draw depends
+    only on (seed, p_t index, trial), and the loader's totals do not depend
+    on which draws share a call, so neither the batching nor the split
+    shows in the output.
     """
     noise_vars = np.array([_noise_var(s) for s in cfg.snr_db])
-    out = np.zeros((len(cfg.p_t), len(cfg.snr_db), len(grids), hi - lo), dtype=np.int64)
-    for pt_i, p_t in enumerate(cfg.p_t):
-        for first in range(lo, hi, DRAWS_PER_CALL):
-            trials = range(first, min(first + DRAWS_PER_CALL, hi))
-            gammas = []
-            for trial in trials:
-                rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, pt_i, trial)))
-                real = draw_realization(chan, cfg.n_f, cfg.n_t, rng, n_fft=cfg.n_fft)
-                # every SNR point's grid at once
-                gammas.append(snr_grid(real, noise_vars[:, None, None]).gamma)
-            bits = sweep_total_bits(grids, np.concatenate(gammas), p_t, cfg.granularity)
-            bits = bits.reshape(len(trials), len(cfg.snr_db), len(grids))
-            out[pt_i, :, :, first - lo:first - lo + len(trials)] = bits.transpose(1, 2, 0)
+    n_snr, n_grids = len(cfg.snr_db), len(grids)
+    out = np.zeros((len(cfg.p_t), n_snr, n_grids, hi - lo), dtype=np.int64)
+    draws = np.array([(pt_i, trial) for pt_i in range(len(cfg.p_t)) for trial in range(lo, hi)])
+    per_call = DRAWS_PER_CALL[cfg.granularity]
+    for first in range(0, len(draws), per_call):
+        batch = draws[first:first + per_call]
+        gammas = []
+        for pt_i, trial in batch.tolist():
+            rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, pt_i, trial)))
+            real = draw_realization(chan, cfg.n_f, cfg.n_t, rng, n_fft=cfg.n_fft)
+            # every SNR point's grid at once
+            gammas.append(snr_grid(real, noise_vars[:, None, None]).gamma)
+        p_t = np.repeat(np.take(cfg.p_t, batch[:, 0]), n_snr)
+        bits = sweep_total_bits(grids, np.concatenate(gammas), p_t, cfg.granularity)
+        out[batch[:, 0], :, :, batch[:, 1] - lo] = bits.reshape(len(batch), n_snr, n_grids)
     return out
 
 

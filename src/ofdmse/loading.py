@@ -314,7 +314,10 @@ def _greedy_lockstep(mask, cost, p_t):
 
     mask and cost are (..., n_schemes, N) and broadcast against each other;
     each leading index is one grid, and the results keep the leading shape
-    (greedy_allocate calls it on one grid, with no leading axes).  Every grid
+    (greedy_allocate calls it on one grid, with no leading axes).  p_t is
+    one target, or an array of targets that broadcasts against the leading
+    shape, so each grid has its own; every test below uses that grid's
+    target, and a grid's floats do not depend on the others'.  Every grid
     still in play advances in the same iteration, and each grid ends
     bit-identical to the reference serial loop in tests/test_loading.py,
     which commits one move per iteration.  A grid leaves the batch in the
@@ -365,6 +368,7 @@ def _greedy_lockstep(mask, cost, p_t):
     cand_idx = cand_idx.reshape(r, levels, n)
     by_gain = by_gain.reshape(r, _GAINS.size + 1, n)
     two_cmax = np.multiply(cost.max(axis=(-2, -1)), 2.0, out=np.empty(lead)).reshape(r)
+    p_t = np.full(lead, p_t).reshape(r)
     out_bits = np.empty((r, n), dtype=np.int8)
     out_s = np.zeros(r)
     out_w = np.zeros(r, dtype=np.int64)
@@ -376,8 +380,13 @@ def _greedy_lockstep(mask, cost, p_t):
     num_buf = np.empty_like(by_gain)
     e_buf = np.zeros((r, n + 1))
     steps = np.arange(n + 1)
-    # p_t g j for every gain g and count j of moves, as E_j subtracts it
-    pg_steps = (p_t * np.arange(_GAINS.size + 1))[:, None] * steps
+    # p_t g j for each distinct target, gain g and count j of moves, as E_j
+    # subtracts it; a grid's row is pg_at + g.  A step's take from this
+    # small table is about 5x faster than the (grids, N + 1) product.
+    targets = np.unique(p_t)
+    pg_steps = (targets[:, None] * np.arange(_GAINS.size + 1))[..., None] * steps
+    pg_steps = pg_steps.reshape(-1, n + 1)
+    pg_at = targets.searchsorted(p_t) * (_GAINS.size + 1)
     pos = np.arange(n)
     # each step of a grid commits at least one move (at most _GAINS.size * n
     # in all, as each adds bits), rejects a candidate for good (at most
@@ -392,7 +401,7 @@ def _greedy_lockstep(mask, cost, p_t):
         num -= cur_cost[:, None, :]
         low = num[:, :-1].min(axis=2)
         # the greatest gain with a feasible move, 0 where there is none
-        g = ((low / (w_sum[:, None] + _GAINS) <= p_t) * _GAINS).max(axis=1)
+        g = ((low / (w_sum[:, None] + _GAINS) <= p_t[:, None]) * _GAINS).max(axis=1)
         if np.count_nonzero(g) < rows.size:
             # a grid without a feasible move is final; drop it from the batch
             done = g == 0
@@ -401,9 +410,9 @@ def _greedy_lockstep(mask, cost, p_t):
             live = np.flatnonzero(g)
             if not live.size:
                 break
-            rows, s_sum, w_sum, two_cmax, low, g, cur_bits, cur_cost = (
+            rows, p_t, pg_at, s_sum, w_sum, two_cmax, low, g, cur_bits, cur_cost = (
                 a.take(live, axis=0)
-                for a in (rows, s_sum, w_sum, two_cmax, low, g, cur_bits, cur_cost))
+                for a in (rows, p_t, pg_at, s_sum, w_sum, two_cmax, low, g, cur_bits, cur_cost))
             # the spent numerator buffer takes the table's live rows; mode
             # "clip" writes straight into it, and every index is valid
             by_gain, num_buf = by_gain.take(live, axis=0, mode="clip",
@@ -415,8 +424,8 @@ def _greedy_lockstep(mask, cost, p_t):
         ks = num_buf[: rows.size, 1]
         ks[...] = keys
         ks.sort(axis=1)
-        n_set = _set_size(ks, low, s_sum, w_sum, g, p_t, two_cmax, e_buf[: rows.size],
-                          steps, pg_steps)
+        n_set = _set_size(ks, low, s_sum, w_sum, g, p_t, two_cmax, e_buf[: rows.size], steps,
+                          pg_steps.take(pg_at + g, axis=0))
         # by (b) the J smallest keys are exactly those at most k_J
         commit = keys <= ks[here, n_set - 1][:, None]
         if np.count_nonzero(n_set) < rows.size:
@@ -433,25 +442,25 @@ def _greedy_lockstep(mask, cost, p_t):
     return out_idx.reshape(lead + (n,)), out_s.reshape(lead), out_w.reshape(lead)
 
 
-def _set_size(ks, low, s_sum, w_sum, g, p_t, two_cmax, e, steps, pg_steps):
+def _set_size(ks, low, s_sum, w_sum, g, p_t, two_cmax, e, steps, pg):
     """The set step's filter (see _greedy_lockstep) for a batch of grids.
 
     ks holds each grid's class-g keys in ascending order, low the step's
-    smallest numerator per class, two_cmax twice the largest cost of the
-    grid; e is a (grids, N + 1) buffer whose first column is 0, steps is
-    0 .. N and pg_steps[g, j] is p_t g j.  Returns the number J of moves
-    that the serial loop provably commits next, 0 where the filter cannot
-    decide.
+    smallest numerator per class, p_t each grid's target and two_cmax twice
+    the largest cost of the grid; e is a (grids, N + 1) buffer whose first
+    column is 0, steps is 0 .. N and pg[:, j] is p_t g j.  Returns the
+    number J of moves that the serial loop provably commits next, 0 where
+    the filter cannot decide.
     """
     n = ks.shape[1]
     delta = 8 * n * 2.0 ** -53 * (p_t * (w_sum + g * n) + two_cmax)
     room = p_t * w_sum - s_sum
     # smallest key less p_t h of any class h above g, over every position
-    above = np.minimum.reduce(low - p_t * _GAINS, axis=1, initial=_NO_MOVE,
+    above = np.minimum.reduce(low - p_t[:, None] * _GAINS, axis=1, initial=_NO_MOVE,
                               where=_ABOVE.take(g, axis=0))
     above -= s_sum
     ks.cumsum(axis=1, out=e[:, 1:])
-    e -= pg_steps.take(g, axis=0)                                       # E_0 .. E_n
+    e -= pg                                                             # E_0 .. E_n
     ok = e[:, 1:] <= (room - delta)[:, None]                            # (a)
     ok &= e[:, :-1] > (room + delta - above)[:, None]                   # (c), states 0 .. J - 1
     ok = np.logical_and.accumulate(ok, axis=1, out=ok)
@@ -463,8 +472,9 @@ def _commit(cur_bits, cur_cost, by_gain, bg, g, commit, n_set, s_sum, w_sum, p_t
     """Commit the class-g moves at the positions where commit is set: n_set
     of them in each grid, or one where n_set is 0 (a single move), each
     gaining g bits at cost bg.  The guard rejects a single move whose full
-    recompute exceeds p_t; a set cannot fail it.  cur_bits, by_gain and
-    commit change in place; returns the new (cur_cost, S, W) per grid.
+    recompute exceeds its grid's p_t; a set cannot fail it.  cur_bits,
+    by_gain and commit change in place; returns the new (cur_cost, S, W)
+    per grid.
 
     The new costs are one select over the whole (grids, N) state, and W
     grows by g per move.  A committed move of g bits shifts its position's
@@ -504,17 +514,19 @@ def _commit(cur_bits, cur_cost, by_gain, bg, g, commit, n_set, s_sum, w_sum, p_t
     return new_cost, s_full, w_full
 
 
-def sweep_total_bits(grids, gammas, p_t: float, granularity: str) -> np.ndarray:
+def sweep_total_bits(grids, gammas, p_t, granularity: str) -> np.ndarray:
     """Bit totals of every (SNR grid, constraint grid) pair.
 
-    gammas is an (S, n_f, n_t) stack of SNR grids' gamma arrays.  Returns
-    int64 (S, len(grids)): the total_bits greedy_allocate ("subcarrier"
-    granularity) or block_allocate ("block") would give for each pair.  The
-    SNR grids may come from one channel draw or several; each row depends
-    only on its own SNR grid.  The gammas are checked once for the whole
-    stack.  The SNR grids must share the constraint grids' shape, and p_t
-    must lie in (0, 0.5).  The sweep's grids are all new, so this bypasses
-    the memo.
+    gammas is an (S, n_f, n_t) stack of SNR grids' gamma arrays, and p_t
+    one target for all of them or a sequence of S targets, one per SNR
+    grid.  Returns int64 (S, len(grids)): the total_bits greedy_allocate
+    ("subcarrier" granularity) or block_allocate ("block") would give for
+    each pair at its SNR grid's target.  The SNR grids may come from one
+    channel draw or several, under one target or several; each row depends
+    only on its own SNR grid and target.  The gammas are checked once for
+    the whole stack.  The SNR grids must share the constraint grids' shape,
+    and every target must lie in (0, 0.5).  The sweep's grids are all new,
+    so this bypasses the memo.
 
     In subcarrier granularity one batched call of the greedy core scores
     the full bits x BER table, one BER kernel call per scheme over every
@@ -525,6 +537,7 @@ def sweep_total_bits(grids, gammas, p_t: float, granularity: str) -> np.ndarray:
     """
     masks = np.stack([flat_mask(g) for g in grids])
     gammas = np.asarray(gammas, dtype=float)
+    p_t = np.broadcast_to(np.asarray(p_t, dtype=float), len(gammas))
     # a C-order copy of each grid flattened time-major, as _flat_gamma
     flat = gammas.transpose(0, 2, 1).reshape(len(gammas), -1)
     if granularity != "subcarrier":
@@ -532,7 +545,7 @@ def sweep_total_bits(grids, gammas, p_t: float, granularity: str) -> np.ndarray:
     cost = _ber_table(flat)
     cost *= CATALOG_BITS[:, None]
     del flat  # the core never reads it; freed, it stays out of its peak
-    return _greedy_lockstep(masks[None], cost[:, None], p_t)[2]
+    return _greedy_lockstep(masks[None], cost[:, None], p_t[:, None])[2]
 
 
 def exhaustive_allocate(
@@ -677,10 +690,11 @@ def _block_scores(mask, cost, bits, p_t):
 def _block_totals(masks, gamma, p_t):
     """W, the total block_allocate gives, of every (SNR grid, constraint grid).
 
-    masks is (grids, n_schemes, N), gamma (rows, N) flat gammas.  Returns
-    int64 (rows, grids), the block core's W on the full bits x BER table,
-    without building that table.  The gammas are checked once, with
-    _ber_table's ValueError.
+    masks is (grids, n_schemes, N), gamma (rows, N) flat gammas, and p_t
+    one target or one per row.  Returns int64 (rows, grids), the block
+    core's W on the full bits x BER table at each row's target, without
+    building that table.  The gammas are checked once, with _ber_table's
+    ValueError.
 
     The schemes are taken the most bits first.  A row needs a scheme when
     some grid allows it with w = bits x allowed count above the best W that
@@ -701,11 +715,18 @@ def _block_totals(masks, gamma, p_t):
     either infeasible on the full table or has w at most a W already found
     feasible, for every grid.  The test is w > best per grid, not the bits
     order, so a lower level with the larger w (a custom profile may allow
-    64-QAM at one position only) is still computed.  The argument needs
-    monotone rounding and non-negative BERs, no property of scipy.
+    64-QAM at one position only) is still computed.  Each row's screen and
+    fit compare with that row's own target only.  The argument needs
+    monotone rounding and non-negative BERs.  The QAM and ASK terms carry
+    negative coefficients and the PSK tail adds a negative Owen's T, so
+    non-negativity is a property of the computed kernel, not of its
+    formula: tests/test_modulation.py::test_ber_range_and_monotonicity_in_gamma
+    checks it for every scheme at gamma 0, 5e-324 and a dense log scan up
+    to 1e300.
     """
     gamma = _checked_gamma(gamma)
     rows, n = gamma.shape
+    p_t = np.broadcast_to(p_t, rows)[:, None]  # one target per row, as a column
     best = np.zeros((rows, len(masks)), dtype=np.int64)
     if n > _SCREEN:
         low_at = np.argpartition(gamma, _SCREEN - 1, axis=1)[:, :_SCREEN]
@@ -717,11 +738,12 @@ def _block_totals(masks, gamma, p_t):
         if n > _SCREEN and at.size:
             part = np.zeros((at.size, n))
             np.put_along_axis(part, low_at[at], s.bits * _ber_kernel(s, low_gamma[at]), axis=1)
-            low = _block_scores(mask, part[:, None], s.bits, p_t)[1]
-            at = at[~((low > p_t) | ~need[at]).all(axis=1)]
+            p_at = p_t[at]
+            low = _block_scores(mask, part[:, None], s.bits, p_at)[1]
+            at = at[~((low > p_at) | ~need[at]).all(axis=1)]
         if at.size:
             full = s.bits * _ber_kernel(s, gamma[at])
-            fit = _block_scores(mask, full[:, None], s.bits, p_t)[2]
+            fit = _block_scores(mask, full[:, None], s.bits, p_t[at])[2]
             best[at] = np.maximum(best[at], fit)
     return best
 

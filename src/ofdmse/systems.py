@@ -103,6 +103,12 @@ class SystemProfile:
     def __post_init__(self):
         if not self.name:
             raise ValueError("profile name must be non-empty")
+        # the name is a CSV field, written unquoted
+        if any(c in self.name for c in ',"\r\n'):
+            raise ValueError(
+                f"profile name {self.name!r} must not hold a comma, a double quote "
+                f"or a line break"
+            )
 
 
 def lte_pilot_positions() -> frozenset:

@@ -177,7 +177,8 @@ class TestRunSweep:
     @pytest.mark.parametrize("granularity", ["subcarrier", "block"])
     def test_csv_does_not_depend_on_draw_batches(self, granularity):
         # 5 trials split over 1, 2 and 3 workers give different partial
-        # batches of draws per loader call
+        # batches of draws per loader call, taken target-major, so some
+        # batches straddle the two targets
         csvs = []
         for workers in (1, 2, 3):
             buf = io.StringIO()
@@ -530,6 +531,21 @@ class TestMain:
         assert err.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "custom profile name 'fb' collides" in captured.err
+
+    @pytest.mark.parametrize("stem", ["x,y", 'x"y'])
+    def test_custom_profile_name_that_breaks_the_csv_refused(self, tmp_path, capsys, stem):
+        # the file stem names the profile, and write_csv writes it unquoted
+        pf = tmp_path / f"{stem}.txt"
+        lines = ["2 2"] + [f"{p // 2} {p % 2} data psk:2" for p in range(4)]
+        pf.write_text("\n".join(lines) + "\n")
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps({"n_f": 2, "n_t": 2, "nfft": 16}))
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", "--config", str(cfg_file), "--systems", "cm", "--profile-file",
+                  str(pf), "--snr-db", "20", "--trials", "3"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"profile name {stem!r} must not hold" in captured.err
 
     def test_unknown_config_key(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"

@@ -650,12 +650,13 @@ def _greedy_core(mask, cost, p_t):
 
 def assert_lockstep_matches_core(mask, gamma, p_t):
     """The lockstep core on the batch, and on each grid alone with no
-    leading axes as greedy_allocate calls it, matches the serial loop."""
+    leading axes as greedy_allocate calls it, matches the serial loop.
+    p_t is one target, or one per grid, each grid checked at its own."""
     cost = CATALOG_BITS[:, None] * _ber_table(gamma)
     idx, s_sum, w_sum = _greedy_lockstep(mask, cost, p_t)
-    for r in range(mask.shape[0]):
-        ref_idx, ref_s, ref_w = _greedy_core(mask[r], cost[r], p_t)
-        one_idx, one_s, one_w = _greedy_lockstep(mask[r], cost[r], p_t)
+    for r, target in enumerate(np.broadcast_to(p_t, mask.shape[0]).tolist()):
+        ref_idx, ref_s, ref_w = _greedy_core(mask[r], cost[r], target)
+        one_idx, one_s, one_w = _greedy_lockstep(mask[r], cost[r], target)
         assert one_idx.shape == ref_idx.shape and one_s.shape == one_w.shape == ()
         for got_idx, got_s, got_w in ((idx[r], s_sum[r], w_sum[r]), (one_idx, one_s, one_w)):
             np.testing.assert_array_equal(got_idx, ref_idx)
@@ -675,9 +676,12 @@ def sweep_draws(trials):
 
 class TestLockstep:
     @settings(max_examples=200, deadline=None)
-    @given(batch=lockstep_batches(), p_t=st.floats(1e-5, 0.3))
-    def test_matches_serial_core_row_by_row(self, batch, p_t):
-        assert_lockstep_matches_core(*batch, p_t)
+    @given(batch=lockstep_batches(), targets=st.lists(
+        st.one_of(st.sampled_from([1e-3, 1e-2]), st.floats(1e-5, 0.3)), min_size=6, max_size=6))
+    def test_matches_serial_core_row_by_row(self, batch, targets):
+        # one target per grid, some shared; lockstep_batches draws at most 6 grids
+        mask, gamma = batch
+        assert_lockstep_matches_core(mask, gamma, np.array(targets[: len(gamma)]))
 
     @pytest.mark.parametrize("p_t", [1e-3, 1e-2])
     def test_matches_serial_core_on_sweep_draws(self, p_t):
@@ -719,12 +723,20 @@ class TestLockstep:
     def test_sweep_totals_do_not_depend_on_batch(self, granularity):
         grids = [build_profile(n).grid for n in ("fb", "cm", "lte", "mlte")]
         draws = sweep_draws(3)
+        gammas = np.stack([s.gamma for d in draws for s in d])
+        one_call = {}
         for p_t in (1e-3, 1e-2):
-            one_call = sweep_total_bits(grids, np.stack([s.gamma for d in draws for s in d]),
-                                        p_t, granularity)
+            one_call[p_t] = sweep_total_bits(grids, gammas, p_t, granularity)
             per_draw = [sweep_total_bits(grids, np.stack([s.gamma for s in d]), p_t, granularity)
                         for d in draws]
-            np.testing.assert_array_equal(one_call, np.concatenate(per_draw))
+            np.testing.assert_array_equal(one_call[p_t], np.concatenate(per_draw))
+        assert (one_call[1e-2] != one_call[1e-3]).any()
+        # one call on a column that mixes both targets gives each SNR grid
+        # its own target's totals
+        loose = np.arange(len(gammas)) % 3 == 1
+        mixed = sweep_total_bits(grids, gammas, np.where(loose, 1e-2, 1e-3), granularity)
+        np.testing.assert_array_equal(
+            mixed, np.where(loose[:, None], one_call[1e-2], one_call[1e-3]))
 
     def test_two_draw_sweep_call_stays_within_its_memory(self):
         # the call traces about 3.2 MiB at its peak; the bound leaves about
@@ -771,9 +783,8 @@ class TestSetSize:
         low = np.full((1, _GAINS.size), _NO_MOVE)
         low[0, :2] = ks[0, 0], above + 2 * p_t
         steps = np.arange(n + 1)
-        pg_steps = (p_t * np.arange(_GAINS.size + 1))[:, None] * steps
-        n_set = _set_size(ks, low, s_sum, w_sum, g, p_t, np.array([two_cmax]),
-                          np.zeros((1, n + 1)), steps, pg_steps)
+        n_set = _set_size(ks, low, s_sum, w_sum, g, np.array([p_t]), np.array([two_cmax]),
+                          np.zeros((1, n + 1)), steps, p_t * g[:, None] * steps)
         assert n_set.tolist() == [1]
 
 
@@ -921,19 +932,22 @@ def full_block_table(gamma):
 
 
 def full_table_totals(masks, gamma, p_t):
-    """The block core's W of every (row, grid) on the full table."""
-    return _block_core(masks[None], full_block_table(gamma)[:, None], p_t)[2]
+    """The block core's W of every (row, grid) on the full table, at one
+    target or at one target per row."""
+    return _block_core(masks[None], full_block_table(gamma)[:, None],
+                       np.reshape(p_t, (-1, 1, 1)))[2]
 
 
 @st.composite
 def block_totals_problems(draw):
     """Masks of several grids (a silent scheme kept at every position) on
     1-16 positions, so that both N <= _SCREEN and N > _SCREEN occur, flat
-    gammas that include 0 and 1e300, and p_t.
+    gammas that include 0 and 1e300, and one p_t per row.
 
     "wide_low" thins the 64-QAM row to one position, so a lower bits level
-    has the larger w.  p_t is log-uniform in (1e-9, 0.5), or, "at_limit",
-    one scheme's exact average on one row, which must still fit.
+    has the larger w.  Each row's p_t is log-uniform in (1e-9, 0.5); with
+    "at_limit", one row's is one scheme's exact average on that row, which
+    must still fit.
     """
     n_masks, rows, n = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 16))
     masks = draw(arrays(bool, (n_masks, N_SCHEMES, n)))
@@ -944,7 +958,8 @@ def block_totals_problems(draw):
         masks[:, top, 1:] = False
     gamma = draw(arrays(float, (rows, n), elements=st.one_of(
         st.sampled_from([0.0, 1e300]), st.floats(-2.0, 6.0).map(lambda e: 10.0 ** e))))
-    p_t = 10.0 ** draw(st.floats(-9.0, math.log10(0.5), exclude_max=True))
+    p_t = 10.0 ** draw(arrays(float, rows, elements=st.floats(
+        -9.0, math.log10(0.5), exclude_max=True)))
     if draw(st.booleans()):  # "at_limit"
         m, r = draw(st.integers(0, n_masks - 1)), draw(st.integers(0, rows - 1))
         i = draw(st.sampled_from([i for i, s in enumerate(CATALOG) if not s.silent]))
@@ -952,7 +967,7 @@ def block_totals_problems(draw):
         if w:
             avg = float(np.sum(np.where(masks[m, i], full_block_table(gamma)[r, i], 0.0))) / w
             if 0.0 < avg < 0.5:
-                p_t = avg
+                p_t[r] = avg
     return masks, gamma, p_t
 
 
@@ -1016,10 +1031,11 @@ class TestBlockCost:
 
     @pytest.mark.parametrize("p_t", [1e-3, 1e-2])
     def test_block_sweep_call_stays_within_its_memory(self, p_t):
-        # a DRAWS_PER_CALL-draw call traces about 0.31 MB at p_t 1e-3 and
-        # 0.51 MB at 1e-2
+        # a block call of DRAWS_PER_CALL["block"] draws traces about 180 KB
+        # per draw at p_t 1e-3 and 260 KB at 1e-2
+        draws = DRAWS_PER_CALL["block"]
         grids = [build_profile(n).grid for n in ("fb", "cm", "lte", "mlte")]
-        gammas = np.stack([s.gamma for d in sweep_draws(DRAWS_PER_CALL) for s in d])
+        gammas = np.stack([s.gamma for d in sweep_draws(draws) for s in d])
         expected = full_table_totals(np.stack([flat_mask(g) for g in grids]),
                                      gammas.transpose(0, 2, 1).reshape(len(gammas), -1), p_t)
         tracemalloc.start()
@@ -1029,7 +1045,7 @@ class TestBlockCost:
         finally:
             tracemalloc.stop()
         np.testing.assert_array_equal(totals, expected)
-        assert peak <= 650_000
+        assert peak <= 325_000 * draws
 
 
 class TestInstanceRoundTrip:

@@ -156,6 +156,9 @@ def test_grid_invariant_violations():
         ConstraintGrid(((silent,),), ((Role.DATA, Role.DATA),))
     with pytest.raises(ValueError):
         SystemProfile("", build_profile("fb").grid)
+    for name in ("a,b", 'a"b', "a\nb", "a\rb"):
+        with pytest.raises(ValueError, match="must not hold"):
+            SystemProfile(name, build_profile("fb").grid)
 
 
 def test_grid_names_the_first_bad_position_row_major():
