@@ -24,6 +24,7 @@ import argparse
 import json
 import math
 import numbers
+import re
 import sys
 from dataclasses import dataclass
 from multiprocessing import get_context
@@ -159,8 +160,8 @@ def _resolve_profiles(cfg: SweepConfig):
 #: Channel draws loaded per sweep_total_bits call, per granularity.  Each
 #: loader's cost per call is mostly fixed numpy overhead, so more draws per
 #: call spread it over more grids, while its memory grows with the batch.
-#: The block filler traces a sixth to a tenth of the greedy's peak per
-#: draw, so eight block draws peak below two greedy draws; four greedy
+#: The block filler traces under a tenth of the greedy's peak per draw,
+#: so eight block draws peak below two greedy draws; four greedy
 #: draws were only a little faster (see README "How a sweep is batched").
 DRAWS_PER_CALL = {"subcarrier": 2, "block": 8}
 
@@ -444,7 +445,7 @@ def _build_sweep_config(args, parser) -> SweepConfig:
         if unknown:
             parser.error(f"unknown config keys: {', '.join(unknown)}")
 
-    fields = {}
+    fields, given = {}, {}  # given: each set field as the user named it
     for key, (field, parse) in _SWEEP_KEYS.items():
         flag = getattr(args, key)
         if flag is None and key not in file_cfg:
@@ -455,10 +456,14 @@ def _build_sweep_config(args, parser) -> SweepConfig:
             parser.error(f"config key {key!r} {exc}")
         except ValueError as exc:
             parser.error(str(exc))
+        given[field] = (f"config key {key!r}" if flag is None
+                        else f"argument --{key.replace('_', '-')}")
     try:
         return SweepConfig(**fields)
     except ValueError as exc:
-        parser.error(str(exc))
+        # the refusal names fields; lead with the first one the user set
+        named = [given[w] for w in re.findall(r"\w+", str(exc)) if w in given]
+        parser.error(": ".join(named[:1] + [str(exc)]))
 
 
 def _cmd_sweep(args, parser) -> int:

@@ -89,6 +89,11 @@ _BITS_DESCENDING = sorted((i for i, s in enumerate(CATALOG) if not s.silent),
 #: screens a row before it computes the whole row (see _block_totals).
 _SCREEN = 8
 
+#: The block screen's upper bound puts each unscreened position at the least
+#: screened BER plus this (see _block_totals): twice the rise above a lower
+#: gamma's BER that the computed kernel is tested to stay within.
+_SLACK = 1e-15
+
 
 @dataclass(frozen=True)
 class Allocation:
@@ -699,30 +704,41 @@ def _block_totals(masks, gamma, p_t):
     The schemes are taken the most bits first.  A row needs a scheme when
     some grid allows it with w = bits x allowed count above the best W that
     grid has so far; otherwise the row is skipped.  When N > _SCREEN, one
-    kernel call covers each row's _SCREEN lowest gammas, placed in a zero
-    row, and _block_scores sums it as the core sums a row.  Every rounding
-    in that fixed summation tree is monotone and the zeros stand for
-    non-negative BERs, so the sum is a lower bound on the full row's
-    computed sum, and division by w > 0 is monotone too.  A row whose bound
-    already averages above p_t for every grid that needs it is skipped.
-    One kernel call then computes the remaining rows exactly, and the same
-    _block_scores decides which grids they fit and raises their best W.
+    kernel call covers each row's _SCREEN lowest gammas, and the row is
+    bounded from both sides with them.  The lower bound places them in a
+    zero row; the upper bound places them in a row whose other positions
+    hold the least screened BER plus _SLACK.  _block_scores sums each bound
+    row as the core sums a row, and every rounding in that fixed summation
+    tree, in the products by bits and in the division by w > 0 is
+    monotone.  So the lower bound's average is at most the full row's
+    computed average where the zeros stand for non-negative BERs, and the
+    upper bound's is at least it where each stand-in is at least the BER it
+    replaces.  Then per grid: a lower bound above p_t proves the row does
+    not fit; an upper bound at most p_t proves it fits, and best takes w;
+    otherwise the grid is open.  One kernel call then computes in full only
+    the rows with an open grid that needs them, and the same _block_scores
+    decides which grids they fit and raises their best W.
 
     Why this is the core's W: _ber_kernel is elementwise, so an exact row
     holds the full table's floats, and _block_scores sums each row over the
     contiguous last axis, the same float in any batch.  W is the largest
-    feasible w, 0 where none fits as best starts, and each skipped row is
-    either infeasible on the full table or has w at most a W already found
-    feasible, for every grid.  The test is w > best per grid, not the bits
-    order, so a lower level with the larger w (a custom profile may allow
-    64-QAM at one position only) is still computed.  Each row's screen and
-    fit compare with that row's own target only.  The argument needs
-    monotone rounding and non-negative BERs.  The QAM and ASK terms carry
-    negative coefficients and the PSK tail adds a negative Owen's T, so
-    non-negativity is a property of the computed kernel, not of its
-    formula: tests/test_modulation.py::test_ber_range_and_monotonicity_in_gamma
-    checks it for every scheme at gamma 0, 5e-324 and a dense log scan up
-    to 1e300.
+    feasible w, 0 where none fits as best starts, and each row not computed
+    is either infeasible on the full table, proven to fit, or has w at most
+    a W already found feasible, for every grid.  The test is w > best per
+    grid, not the bits order, so a lower level with the larger w (a custom
+    profile may allow 64-QAM at one position only) is still computed.  Each
+    row's bounds and fit compare with that row's own target only.
+
+    The bounds rest on two properties of the computed kernel, not of its
+    formula.  The QAM and ASK terms carry negative coefficients and the PSK
+    tail adds a negative Owen's T, so non-negativity is one.  The other:
+    no computed BER lies more than _SLACK / 2 above its value at a lower
+    gamma.  Every unscreened gamma is at least every screened one, so its
+    BER is at most the least screened BER plus _SLACK / 2, and the add of
+    _SLACK rounds off less than half an ulp of 1, far below _SLACK / 2.
+    tests/test_modulation.py::test_ber_range_and_monotonicity_in_gamma
+    checks both for every scheme at gamma 0, 5e-324 and a dense log scan up
+    to 1e300, where the largest rise is 1.11e-16, one ulp at BER 0.5.
     """
     gamma = _checked_gamma(gamma)
     rows, n = gamma.shape
@@ -736,11 +752,19 @@ def _block_totals(masks, gamma, p_t):
         need = s.bits * mask.sum(axis=-1) > best
         at = np.flatnonzero(need.any(axis=1))
         if n > _SCREEN and at.size:
+            low_ber = _ber_kernel(s, low_gamma[at])
+            screened = s.bits * low_ber
             part = np.zeros((at.size, n))
-            np.put_along_axis(part, low_at[at], s.bits * _ber_kernel(s, low_gamma[at]), axis=1)
+            np.put_along_axis(part, low_at[at], screened, axis=1)
             p_at = p_t[at]
             low = _block_scores(mask, part[:, None], s.bits, p_at)[1]
-            at = at[~((low > p_at) | ~need[at]).all(axis=1)]
+            # every other position at the least screened BER plus _SLACK
+            part[...] = s.bits * (low_ber.min(axis=1) + _SLACK)[:, None]
+            np.put_along_axis(part, low_at[at], screened, axis=1)
+            _weighted, high, settled = _block_scores(mask, part[:, None], s.bits, p_at)
+            best[at] = np.maximum(best[at], settled)
+            # a row stays open where some grid needs it and neither bound decides
+            at = at[(need[at] & (low <= p_at) & (high > p_at)).any(axis=1)]
         if at.size:
             full = s.bits * _ber_kernel(s, gamma[at])
             fit = _block_scores(mask, full[:, None], s.bits, p_t[at])[2]

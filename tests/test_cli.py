@@ -547,6 +547,32 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.out == "" and f"profile name {stem!r} must not hold" in captured.err
 
+    @staticmethod
+    def refusal(tmp_path, capsys, argv, file_cfg):
+        """The usage error of `sweep argv` with file_cfg as its --config."""
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(file_cfg))
+        with pytest.raises(SystemExit) as err:
+            main(["sweep", "--config", str(cfg_file), *argv])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return captured.err.splitlines()[-1]
+
+    def test_nfft_refusal_names_the_flag_or_config_key(self, tmp_path, capsys):
+        message = "n_fft must be >= 1, got 0"
+        assert self.refusal(tmp_path, capsys, ["--nfft", "0"], {"nfft": 128}) \
+            == f"ofdmse: error: argument --nfft: {message}"
+        assert self.refusal(tmp_path, capsys, [], {"nfft": 0}) \
+            == f"ofdmse: error: config key 'nfft': {message}"
+
+    def test_pt_refusal_names_the_flag_or_config_key(self, tmp_path, capsys):
+        message = "p_t must lie in (0, 0.5), got 0.7"
+        assert self.refusal(tmp_path, capsys, ["--pt", "0.7"], {"pt": [1e-3]}) \
+            == f"ofdmse: error: argument --pt: {message}"
+        assert self.refusal(tmp_path, capsys, [], {"pt": [1e-3, 0.7]}) \
+            == f"ofdmse: error: config key 'pt': {message}"
+
     def test_unknown_config_key(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps({"snr": "0:2:40"}))

@@ -33,6 +33,7 @@ from ofdmse.loading import (
     _LEVELS,
     _NO_MOVE,
     _SCREEN,
+    _SLACK,
     _ber_table,
     _block_core,
     _block_totals,
@@ -1021,6 +1022,65 @@ class TestBlockCost:
         p_t = float(np.sum(full_block_table(gamma)[0, qam4])) / (2 * n)
         assert _block_totals(masks, gamma, p_t).tolist() == [[2 * n]]
 
+    @staticmethod
+    def bounded_row():
+        """One QAM4 row of _SCREEN low gammas and 4 higher ones whose BERs
+        are positive, and its exact and upper-bound averages, computed as
+        _block_totals computes them."""
+        n = _SCREEN + 4
+        gamma = np.array([[*np.geomspace(2.0, 9.0, _SCREEN), 20.0, 25.0, 30.0, 40.0]])
+        qam4 = CATALOG.index(scheme_from_name("QAM4"))
+        masks = np.zeros((1, N_SCHEMES, n), dtype=bool)
+        masks[0, [SILENT_ROWS[0], qam4]] = True
+        exact = full_block_table(gamma)[0, qam4]
+        screened = loading._ber_kernel(CATALOG[qam4], gamma[0, :_SCREEN])
+        high = exact.copy()
+        high[_SCREEN:] = 2 * (screened.min() + _SLACK)
+        low = float(np.sum(exact[:_SCREEN])) / (2 * n)
+        exact_avg, high_avg = float(np.sum(exact)) / (2 * n), float(np.sum(high)) / (2 * n)
+        assert low < exact_avg < high_avg
+        return masks, gamma, exact_avg, high_avg
+
+    @staticmethod
+    def full_rows(masks, gamma, p_t):
+        """_block_totals's totals and the rows its full-width kernel calls computed."""
+        real_kernel, rows = loading._ber_kernel, []
+
+        def counting(s, g):
+            if np.shape(g)[1:] == gamma.shape[1:]:
+                rows.extend([s] * len(g))
+            return real_kernel(s, g)
+
+        with mock.patch.object(loading, "_ber_kernel", counting):
+            return _block_totals(masks, gamma, p_t).tolist(), rows
+
+    def test_upper_bound_settles_a_row_exactly_at_the_limit(self):
+        # a bound average equal to p_t proves the fit without the exact row
+        masks, gamma, _exact, high = self.bounded_row()
+        assert self.full_rows(masks, gamma, high) == ([[2 * gamma.shape[1]]], [])
+
+    @pytest.mark.parametrize("fits", [True, False])
+    def test_open_row_is_decided_by_the_exact_row(self, fits):
+        # low <= p_t < high: only the full row tells whether it fits
+        masks, gamma, exact, _high = self.bounded_row()
+        p_t = exact if fits else math.nextafter(exact, 0.0)
+        totals, rows = self.full_rows(masks, gamma, p_t)
+        assert totals == [[2 * gamma.shape[1] if fits else 0]]
+        assert rows == [scheme_from_name("QAM4")]
+
+    @pytest.mark.parametrize("p_t,most", [(1e-3, 4), (1e-2, 16)])
+    def test_default_draws_compute_few_full_rows(self, p_t, most):
+        # of 210 non-silent rows per draw, 2.5 are computed in full at p_t
+        # 1e-3 and 13.4 at 1e-2 on these 40 draws; the screen's bounds
+        # settle the others
+        masks = np.stack([flat_mask(build_profile(n).grid) for n in ("fb", "cm", "lte", "mlte")])
+        draws = sweep_draws(40)
+        gamma = np.stack([np.ascontiguousarray(s.gamma.T).ravel() for d in draws for s in d])
+        rows = []
+        for first in range(0, len(gamma), 8 * 21):
+            rows += self.full_rows(masks, gamma[first:first + 8 * 21], p_t)[1]
+        assert len(rows) <= most * len(draws)
+
     @pytest.mark.parametrize("bad,match", [(math.nan, "finite"), (-1.0, "non-negative")])
     def test_bad_gamma_in_an_unneeded_row_raises(self, bad, match):
         silent_only = data_grid([[()] * 7] * 12)
@@ -1031,8 +1091,8 @@ class TestBlockCost:
 
     @pytest.mark.parametrize("p_t", [1e-3, 1e-2])
     def test_block_sweep_call_stays_within_its_memory(self, p_t):
-        # a block call of DRAWS_PER_CALL["block"] draws traces about 180 KB
-        # per draw at p_t 1e-3 and 260 KB at 1e-2
+        # a block call of DRAWS_PER_CALL["block"] draws traces about 116 KB
+        # per draw at p_t 1e-3 and 117 KB at 1e-2
         draws = DRAWS_PER_CALL["block"]
         grids = [build_profile(n).grid for n in ("fb", "cm", "lte", "mlte")]
         gammas = np.stack([s.gamma for d in sweep_draws(draws) for s in d])

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import erfc, owens_t
 
-from ofdmse import modulation
+from ofdmse import loading, modulation
 from ofdmse.channel import SnrGrid
 from ofdmse.cli import N_VALIDATION_POINTS, VALIDATION_SPAN
 from ofdmse.loading import _ber_table, position_ber_table
@@ -300,13 +300,17 @@ def test_ber_at_zero_snr_is_half():
 def test_ber_range_and_monotonicity_in_gamma():
     # the block sweep's screen (loading._block_totals) needs every computed
     # BER non-negative, though the QAM and ASK terms carry negative
-    # coefficients and the PSK tail a negative Owen's T: 0, and about 500
-    # points per decade from the smallest subnormal, 5e-324, up to 1e300
+    # coefficients and the PSK tail a negative Owen's T, and its upper bound
+    # needs every computed BER at most _SLACK / 2 above its value at any
+    # lower gamma: 0, and about 500 points per decade from the smallest
+    # subnormal, 5e-324, up to 1e300
     g = np.concatenate(([0.0], np.geomspace(5e-324, 1e300, 312_000)))
     for s in NON_SILENT:
         b = ber(s, g)
         assert np.all(b >= 0.0) and np.all(b <= 0.5 + 1e-15), f"{s} outside [0, 1/2]"
         assert np.all(np.diff(b) <= 1e-15), f"{s} not non-increasing in gamma"
+        rise = b - np.minimum.accumulate(b)
+        assert np.all(rise <= loading._SLACK / 2), f"{s} rises above a lower gamma's BER"
 
 
 def test_monotonicity_in_order_within_family():
