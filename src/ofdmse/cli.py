@@ -103,18 +103,18 @@ class SweepConfig:
                 if isinstance(value, bool) or not isinstance(value, numbers.Real):
                     raise TypeError(f"{name} entries must be real numbers, got {value!r}")
         if not self.systems:
-            raise ValueError("at least one system is required")
+            raise ValueError("systems must name at least one system")
         for name in self.systems:
             if name not in SYSTEM_NAMES:
                 raise ValueError(
-                    f"unknown system {name!r}; choose from {', '.join(SYSTEM_NAMES)}"
+                    f"systems entry {name!r} is unknown; choose from {', '.join(SYSTEM_NAMES)}"
                 )
         if len(set(self.systems)) != len(self.systems):
-            raise ValueError("duplicate system names")
+            raise ValueError("duplicate names in systems")
         if len(set(self.p_t)) != len(self.p_t):
             raise ValueError("duplicate p_t values")
         if not self.snr_db:
-            raise ValueError("empty SNR grid")
+            raise ValueError("at least one snr_db value is required")
         for snr in self.snr_db:
             try:
                 usable = math.isfinite(snr) and 0.0 < _noise_var(snr) < math.inf
@@ -122,7 +122,7 @@ class SweepConfig:
                 usable = False
             if not usable:
                 raise ValueError(
-                    f"--snr-db value {snr!r} is unusable: it must be finite and "
+                    f"snr_db value {snr!r} is unusable: it must be finite and "
                     f"give a positive, finite noise variance 10^(-snr/10)"
                 )
         for p in self.p_t:

@@ -85,9 +85,10 @@ _SILENT_ROWS = np.array([i for i, s in enumerate(CATALOG) if s.silent])
 _BITS_DESCENDING = sorted((i for i, s in enumerate(CATALOG) if not s.silent),
                           key=lambda i: -CATALOG[i].bits)
 
-#: Positions, those of the lowest gammas, at which the block sweep's filler
-#: screens a row before it computes the whole row (see _block_totals).
-_SCREEN = 8
+#: The block sweep filler's screen stages: a row is bounded after its k
+#: lowest gammas' BERs, for each k in turn, before it is computed in full
+#: (see _block_totals).
+_STAGES = (4, 16)
 
 #: The block screen's upper bound puts each unscreened position at the least
 #: screened BER plus this (see _block_totals): twice the rise above a lower
@@ -703,21 +704,34 @@ def _block_totals(masks, gamma, p_t):
 
     The schemes are taken the most bits first.  A row needs a scheme when
     some grid allows it with w = bits x allowed count above the best W that
-    grid has so far; otherwise the row is skipped.  When N > _SCREEN, one
-    kernel call covers each row's _SCREEN lowest gammas, and the row is
-    bounded from both sides with them.  The lower bound places them in a
-    zero row; the upper bound places them in a row whose other positions
-    hold the least screened BER plus _SLACK.  _block_scores sums each bound
-    row as the core sums a row, and every rounding in that fixed summation
-    tree, in the products by bits and in the division by w > 0 is
-    monotone.  So the lower bound's average is at most the full row's
-    computed average where the zeros stand for non-negative BERs, and the
-    upper bound's is at least it where each stand-in is at least the BER it
-    replaces.  Then per grid: a lower bound above p_t proves the row does
-    not fit; an upper bound at most p_t proves it fits, and best takes w;
-    otherwise the grid is open.  One kernel call then computes in full only
-    the rows with an open grid that needs them, and the same _block_scores
-    decides which grids they fit and raises their best W.
+    grid has so far; otherwise the row is skipped.  The screen then bounds
+    each needed row in stages: one argpartition orders each row's lowest
+    gammas so that stage k holds its k lowest, for each k in _STAGES below
+    N, and each stage calls the kernel only on the gammas it adds, for the
+    rows still open.  From the k screened costs alone, per grid: the lower
+    bound is the sum L of the allowed screened costs, and the upper bound
+    is L plus the allowed unscreened count times bits x (least screened BER
+    + _SLACK).  They are scaled by 1 - margin and 1 + margin and divided by
+    w as the core divides.  A lower bound above p_t proves the row does not
+    fit; an upper bound at most p_t proves it fits, and best takes w;
+    otherwise the grid stays open.  A row with no open grid leaves the
+    screen, and one kernel call computes in full only the rows still open
+    after the last stage; the core's _block_scores decides which grids
+    they fit and raises their best W.
+
+    Why the bounds hold: the core sums a row's N masked costs, each
+    non-negative, and any summation of m non-negative floats lies within a
+    factor 1 +- gamma_(m-1), gamma_j = j u / (1 - j u) with u = 2^-53, of
+    the exact sum (Higham, Accuracy and Stability of Numerical Algorithms,
+    section 4.2).  The screen's sum of k costs, in any order, obeys the same
+    bound with k; the product by the unscreened count, the add and the
+    scaling round once each.  The exact L is at most the row's exact sum
+    and the exact upper sum at least it, so the lower bound is at most the
+    core's computed sum when margin >= (N + k + 1) u, and the upper bound
+    at least it when margin >= (N + k + 2) u, up to terms of order
+    ((N + k) u)^2.  margin = 2 (N + k) u covers both for N + k >= 4 and far
+    beyond any grid's N.  Division by the same w > 0 is monotone, so each
+    bound's average is on its side of the core's.
 
     Why this is the core's W: _ber_kernel is elementwise, so an exact row
     holds the full table's floats, and _block_scores sums each row over the
@@ -744,27 +758,43 @@ def _block_totals(masks, gamma, p_t):
     rows, n = gamma.shape
     p_t = np.broadcast_to(p_t, rows)[:, None]  # one target per row, as a column
     best = np.zeros((rows, len(masks)), dtype=np.int64)
-    if n > _SCREEN:
-        low_at = np.argpartition(gamma, _SCREEN - 1, axis=1)[:, :_SCREEN]
+    stages = [k for k in _STAGES if k < n]
+    count = masks.sum(axis=-1)  # (grids, n_schemes)
+    if stages:
+        # one partition: each stage's positions follow the earlier stages'
+        low_at = np.argpartition(gamma, [k - 1 for k in stages], axis=1)[:, : stages[-1]]
         low_gamma = np.take_along_axis(gamma, low_at, axis=1)
+        allowed = masks.transpose(1, 2, 0).astype(float)  # (n_schemes, N, grids)
     for i in _BITS_DESCENDING:
         s, mask = CATALOG[i], masks[:, i]
-        need = s.bits * mask.sum(axis=-1) > best
+        w = s.bits * count[:, i]
+        need = w > best
         at = np.flatnonzero(need.any(axis=1))
-        if n > _SCREEN and at.size:
-            low_ber = _ber_kernel(s, low_gamma[at])
-            screened = s.bits * low_ber
-            part = np.zeros((at.size, n))
-            np.put_along_axis(part, low_at[at], screened, axis=1)
+        w_div = np.maximum(w, 1)  # a grid with w = 0 never needs the row
+        open_, screened, least, done = need[at], 0.0, np.inf, 0
+        for k in stages:
+            if not at.size:
+                break
+            ber = _ber_kernel(s, low_gamma[at, done:k])
+            # per grid, the stage's sum of allowed costs and its allowed count
+            terms = np.ones((at.size, 2, k - done))
+            np.multiply(s.bits, ber, out=terms[:, 0])
+            screened = screened + terms @ allowed[i][low_at[at, done:k]]
+            least = np.minimum(least, ber.min(axis=1))
+            done = k
+            margin = 2 * (n + k) * 2.0 ** -53
+            # every unscreened position at the least screened BER plus _SLACK
+            rest = (count[:, i] - screened[:, 1]) * (s.bits * (least + _SLACK))[:, None]
+            low = screened[:, 0] * (1.0 - margin) / w_div
+            high = (screened[:, 0] + rest) * (1.0 + margin) / w_div
             p_at = p_t[at]
-            low = _block_scores(mask, part[:, None], s.bits, p_at)[1]
-            # every other position at the least screened BER plus _SLACK
-            part[...] = s.bits * (low_ber.min(axis=1) + _SLACK)[:, None]
-            np.put_along_axis(part, low_at[at], screened, axis=1)
-            _weighted, high, settled = _block_scores(mask, part[:, None], s.bits, p_at)
-            best[at] = np.maximum(best[at], settled)
-            # a row stays open where some grid needs it and neither bound decides
-            at = at[(need[at] & (low <= p_at) & (high > p_at)).any(axis=1)]
+            fits = high <= p_at
+            best[at] = np.maximum(best[at], np.where(fits, w, 0))
+            # a grid stays open where it needs the row and neither bound decides
+            open_ &= low <= p_at
+            open_ &= ~fits
+            keep = open_.any(axis=1)
+            at, open_, screened, least = at[keep], open_[keep], screened[keep], least[keep]
         if at.size:
             full = s.bits * _ber_kernel(s, gamma[at])
             fit = _block_scores(mask, full[:, None], s.bits, p_t[at])[2]

@@ -10,12 +10,14 @@ part of the contract.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy
 
 from ofdmse.channel import draw_realization, snr_grid, tux_profile
 from ofdmse.cli import SweepConfig, run_ber_validation, run_sweep, write_csv
@@ -232,12 +234,32 @@ def test_mlte_tracks_lte_at_low_snr(default_sweep):
     )
 
 
+#: SHA-256 of the CSV of the default sweep, and of the same sweep in block
+#: granularity at p_t 1e-3 and 1e-2: the output contract.  Pinned with
+#: numpy 2.4.6 and scipy 1.17.1; the BER floats come from their erfc and
+#: owens_t, so other versions may change a last digit.
+DEFAULT_SWEEP_SHA256 = "6a46f659fbb4e38419cc8c91b70c512918c06512fb398397e280df8d7bd73075"
+BLOCK_SWEEP_SHA256 = "f7c78c80615c30ddd0fb211220aa52b3c3ea15331fd6ea8a2d54b62cbae32ced"
+
+
+def _sha256(csv_text: str) -> str:
+    return hashlib.sha256(csv_text.encode()).hexdigest()
+
+
 def test_sweep_determinism_and_runtime(default_sweep):
-    identical = default_sweep["csv_w1"] == default_sweep["csv_w3"]
+    digests = {_sha256(default_sweep["csv_w1"]), _sha256(default_sweep["csv_w3"])}
+    block = io.StringIO()
+    write_csv(run_sweep(replace(default_sweep["cfg"], granularity="block", p_t=(1e-3, 1e-2))),
+              block)
+    block_digest = _sha256(block.getvalue())
     elapsed = default_sweep["elapsed"]
     _report(
-        identical and elapsed <= 600.0,
+        digests == {DEFAULT_SWEEP_SHA256} and block_digest == BLOCK_SWEEP_SHA256
+        and elapsed <= 600.0,
         "sweep determinism",
-        f"CSV byte-identical across 1 vs 3 workers: {identical}; "
+        f"default sweep SHA-256 on 1 and 3 workers {sorted(d[:16] for d in digests)} "
+        f"(want {DEFAULT_SWEEP_SHA256[:16]}); block sweep on 1 worker {block_digest[:16]} "
+        f"(want {BLOCK_SWEEP_SHA256[:16]}); pinned with numpy 2.4.6 and scipy 1.17.1, "
+        f"running {np.__version__} and {scipy.__version__}; "
         f"full default sweep {elapsed:.0f}s (limit 600)",
     )

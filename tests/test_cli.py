@@ -101,7 +101,9 @@ class TestSweepConfig:
 
     @pytest.mark.parametrize("snr", [math.nan, math.inf, -math.inf, 1e6, -1e6])
     def test_unusable_snr_names_the_flag(self, snr):
-        with pytest.raises(ValueError, match="--snr-db"):
+        # the library names the field; ofdmse sweep leads with the flag or
+        # config key (see test_snr_refusal_names_the_config_key)
+        with pytest.raises(ValueError, match="^snr_db value "):
             SweepConfig(snr_db=(10.0, snr))
 
     def test_extreme_but_usable_snr_accepted(self):
@@ -572,6 +574,20 @@ class TestMain:
             == f"ofdmse: error: argument --pt: {message}"
         assert self.refusal(tmp_path, capsys, [], {"pt": [1e-3, 0.7]}) \
             == f"ofdmse: error: config key 'pt': {message}"
+
+    def test_snr_refusal_names_the_config_key(self, tmp_path, capsys):
+        # JSON reads 1e999 as inf
+        assert self.refusal(tmp_path, capsys, [], {"snr_db": [1e999], "trials": 2}) \
+            == ("ofdmse: error: config key 'snr_db': snr_db value inf is unusable: it must "
+                "be finite and give a positive, finite noise variance 10^(-snr/10)")
+
+    def test_systems_refusal_names_the_flag(self, tmp_path, capsys):
+        # the field leads the message, so a name that is also a field
+        # (seed) does not take the lead-in
+        for argv in (["--systems", "dvb"], ["--systems", "seed", "--seed", "3"]):
+            assert self.refusal(tmp_path, capsys, argv, {"trials": 2}) \
+                == (f"ofdmse: error: argument --systems: systems entry {argv[1]!r} is "
+                    "unknown; choose from fb, cm, lte, mlte")
 
     def test_unknown_config_key(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -32,8 +32,8 @@ from ofdmse.loading import (
     _LEVEL_AT,
     _LEVELS,
     _NO_MOVE,
-    _SCREEN,
     _SLACK,
+    _STAGES,
     _ber_table,
     _block_core,
     _block_totals,
@@ -942,15 +942,17 @@ def full_table_totals(masks, gamma, p_t):
 @st.composite
 def block_totals_problems(draw):
     """Masks of several grids (a silent scheme kept at every position) on
-    1-16 positions, so that both N <= _SCREEN and N > _SCREEN occur, flat
-    gammas that include 0 and 1e300, and one p_t per row.
+    1 to 3 x _STAGES[-1] positions, so that N falls on both sides of every
+    screen stage, flat gammas that include 0 and 1e300, and one p_t per
+    row.
 
     "wide_low" thins the 64-QAM row to one position, so a lower bits level
     has the larger w.  Each row's p_t is log-uniform in (1e-9, 0.5); with
     "at_limit", one row's is one scheme's exact average on that row, which
     must still fit.
     """
-    n_masks, rows, n = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 16))
+    n_masks, rows = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    n = draw(st.integers(1, 3 * _STAGES[-1]))
     masks = draw(arrays(bool, (n_masks, N_SCHEMES, n)))
     keep = draw(arrays(np.int64, (n_masks, 1, n), elements=st.sampled_from(SILENT_ROWS)))
     np.put_along_axis(masks, keep, True, axis=1)
@@ -972,12 +974,34 @@ def block_totals_problems(draw):
     return masks, gamma, p_t
 
 
+def wide_at_limit_problem(n=3000):
+    """A block_totals problem on n positions, where the screen's margin is
+    largest.  Row 0 has positive QAM4 BERs at its _STAGES[-1] lowest
+    gammas only, so its bounds enclose the exact sum tightly, and its p_t
+    is QAM4's exact average on grid 0, which allows only QAM4 and ASK1, so
+    the row must fit.  Row 1 is random, on a random grid."""
+    rng = np.random.default_rng(2101)
+    k = _STAGES[-1]
+    gamma = np.empty((2, n))
+    gamma[0] = 1e300
+    gamma[0, rng.choice(n, k, replace=False)] = np.geomspace(1.0, 9.0, k)
+    gamma[1] = 10.0 ** rng.uniform(1.0, 4.0, n)
+    qam4 = CATALOG.index(scheme_from_name("QAM4"))
+    masks = np.zeros((2, N_SCHEMES, n), dtype=bool)
+    masks[0, [SILENT_ROWS[0], qam4]] = True
+    masks[1] = rng.random((N_SCHEMES, n)) < 0.5
+    masks[1, SILENT_ROWS[0]] = True
+    p_t = np.array([float(np.sum(full_block_table(gamma)[0, qam4])) / (2 * n), 1e-3])
+    return masks, gamma, p_t
+
+
 class TestBlockCost:
     """_block_totals computes only the BER rows a block total can depend
     on, and gives the block core's W on the full table."""
 
     @settings(max_examples=300, deadline=None)
     @given(problem=block_totals_problems())
+    @example(problem=wide_at_limit_problem())
     def test_equals_the_full_tables_totals(self, problem):
         masks, gamma, p_t = problem
         totals = _block_totals(masks, gamma, p_t)
@@ -1012,10 +1036,11 @@ class TestBlockCost:
                 sweep_total_bits(grids, gammas, 1e-3, "block"), expected)
 
     def test_screen_keeps_a_row_exactly_at_the_limit(self):
-        # the BERs at gamma 1e300 are 0, so the screen's _SCREEN lowest
-        # gammas hold the whole row sum, and p_t is the row's exact average
-        n = _SCREEN + 4
-        gamma = np.array([[*np.geomspace(2.0, 9.0, _SCREEN), *[1e300] * 4]])
+        # the BERs at gamma 1e300 are 0, so the last stage's _STAGES[-1]
+        # lowest gammas hold the whole row sum, and p_t is the row's exact
+        # average: the margined lower bound must not rule it out
+        n = _STAGES[-1] + 4
+        gamma = np.array([[*np.geomspace(2.0, 9.0, _STAGES[-1]), *[1e300] * 4]])
         qam4 = CATALOG.index(scheme_from_name("QAM4"))
         masks = np.zeros((1, N_SCHEMES, n), dtype=bool)
         masks[0, [SILENT_ROWS[0], qam4]] = True
@@ -1024,22 +1049,29 @@ class TestBlockCost:
 
     @staticmethod
     def bounded_row():
-        """One QAM4 row of _SCREEN low gammas and 4 higher ones whose BERs
-        are positive, and its exact and upper-bound averages, computed as
-        _block_totals computes them."""
-        n = _SCREEN + 4
-        gamma = np.array([[*np.geomspace(2.0, 9.0, _SCREEN), 20.0, 25.0, 30.0, 40.0]])
+        """One QAM4 row of the last stage's _STAGES[-1] low gammas and 4
+        higher ones whose BERs are positive.  QAM4 is allowed at the
+        highest screened gamma, which no earlier stage screens, and at the
+        4 higher ones.  Returns the row with its last stage's lower bound,
+        exact and upper bound averages, computed as _block_totals computes
+        them: the one allowed screened cost is the screened sum in any
+        summation order, and the earlier stages bound only from above
+        with a larger least BER, so they leave the row open."""
+        k = _STAGES[-1]
+        n, w = k + 4, 2 * 5
+        gamma = np.array([[*np.geomspace(2.0, 9.0, k), 20.0, 25.0, 30.0, 40.0]])
         qam4 = CATALOG.index(scheme_from_name("QAM4"))
         masks = np.zeros((1, N_SCHEMES, n), dtype=bool)
-        masks[0, [SILENT_ROWS[0], qam4]] = True
-        exact = full_block_table(gamma)[0, qam4]
-        screened = loading._ber_kernel(CATALOG[qam4], gamma[0, :_SCREEN])
-        high = exact.copy()
-        high[_SCREEN:] = 2 * (screened.min() + _SLACK)
-        low = float(np.sum(exact[:_SCREEN])) / (2 * n)
-        exact_avg, high_avg = float(np.sum(exact)) / (2 * n), float(np.sum(high)) / (2 * n)
-        assert low < exact_avg < high_avg
-        return masks, gamma, exact_avg, high_avg
+        masks[0, SILENT_ROWS[0]] = True
+        masks[0, qam4, k - 1:] = True
+        exact = np.where(masks[0, qam4], full_block_table(gamma)[0, qam4], 0.0)
+        least = loading._ber_kernel(CATALOG[qam4], gamma[0, :k]).min()
+        margin = 2 * (n + k) * 2.0 ** -53
+        low = exact[k - 1] * (1.0 - margin) / w
+        high = (exact[k - 1] + 4.0 * (2 * (least + _SLACK))) * (1.0 + margin) / w
+        exact_avg = float(np.sum(exact)) / w
+        assert low < exact_avg < high
+        return masks, gamma, low, exact_avg, high
 
     @staticmethod
     def full_rows(masks, gamma, p_t):
@@ -1055,23 +1087,42 @@ class TestBlockCost:
             return _block_totals(masks, gamma, p_t).tolist(), rows
 
     def test_upper_bound_settles_a_row_exactly_at_the_limit(self):
-        # a bound average equal to p_t proves the fit without the exact row
-        masks, gamma, _exact, high = self.bounded_row()
-        assert self.full_rows(masks, gamma, high) == ([[2 * gamma.shape[1]]], [])
+        # an upper bound average equal to p_t proves the fit without the
+        # exact row; the first stage's upper bound, with its larger least
+        # BER, does not
+        masks, gamma, _low, _exact, high = self.bounded_row()
+        assert self.full_rows(masks, gamma, high) == ([[2 * 5]], [])
+
+    def test_row_just_below_the_upper_bound_is_computed(self):
+        # the margin keeps the upper bound above the exact row's average,
+        # so one ulp below it the row is computed in full, and it fits
+        masks, gamma, _low, _exact, high = self.bounded_row()
+        assert self.full_rows(masks, gamma, math.nextafter(high, 0.0)) \
+            == ([[2 * 5]], [scheme_from_name("QAM4")])
+
+    def test_row_at_the_lower_bound_is_computed(self):
+        # a lower bound average equal to p_t does not rule the row out;
+        # the exact row does
+        masks, gamma, low, _exact, _high = self.bounded_row()
+        assert self.full_rows(masks, gamma, low) == ([[0]], [scheme_from_name("QAM4")])
+
+    def test_lower_bound_rules_out_a_row_just_above_the_limit(self):
+        masks, gamma, low, _exact, _high = self.bounded_row()
+        assert self.full_rows(masks, gamma, math.nextafter(low, 0.0)) == ([[0]], [])
 
     @pytest.mark.parametrize("fits", [True, False])
     def test_open_row_is_decided_by_the_exact_row(self, fits):
         # low <= p_t < high: only the full row tells whether it fits
-        masks, gamma, exact, _high = self.bounded_row()
+        masks, gamma, _low, exact, _high = self.bounded_row()
         p_t = exact if fits else math.nextafter(exact, 0.0)
         totals, rows = self.full_rows(masks, gamma, p_t)
-        assert totals == [[2 * gamma.shape[1] if fits else 0]]
+        assert totals == [[2 * 5 if fits else 0]]
         assert rows == [scheme_from_name("QAM4")]
 
-    @pytest.mark.parametrize("p_t,most", [(1e-3, 4), (1e-2, 16)])
+    @pytest.mark.parametrize("p_t,most", [(1e-3, 1), (1e-2, 6)])
     def test_default_draws_compute_few_full_rows(self, p_t, most):
-        # of 210 non-silent rows per draw, 2.5 are computed in full at p_t
-        # 1e-3 and 13.4 at 1e-2 on these 40 draws; the screen's bounds
+        # of 210 non-silent rows per draw, 0.63 are computed in full at
+        # p_t 1e-3 and 4.9 at 1e-2 on these 40 draws; the screen's stages
         # settle the others
         masks = np.stack([flat_mask(build_profile(n).grid) for n in ("fb", "cm", "lte", "mlte")])
         draws = sweep_draws(40)
