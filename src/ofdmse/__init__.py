@@ -19,7 +19,7 @@ from .channel import (
     snr_grid,
     tux_profile,
 )
-from .cli import SweepConfig, run_ber_validation, run_sweep
+from .cli import SweepConfig, run_ber_validation, run_sweep, sweep_points, trial_gammas
 from .loading import (
     Allocation,
     block_allocate,
@@ -27,6 +27,7 @@ from .loading import (
     exhaustive_allocate,
     greedy_allocate,
     position_ber_table,
+    sweep_total_bits,
 )
 from .metrics import (
     SweepPoint,
@@ -88,7 +89,10 @@ __all__ = [
     "simulate_ber",
     "snr_grid",
     "spectral_efficiency",
+    "sweep_points",
+    "sweep_total_bits",
     "throughput_per_subcarrier",
+    "trial_gammas",
     "tux_profile",
 ]
 

@@ -5,7 +5,10 @@ The `sweep` subcommand runs the Monte Carlo comparison.  For every
 system and every SNR point, so differences between systems reflect only
 their modulation constraints, and curves are smooth in SNR.  The swept SNR
 is 1/noise_var in dB; with the unit-power channel profile it equals the mean
-per-position SNR.
+per-position SNR.  run_sweep composes three public stages: trial_gammas
+(one draw's gammas at every SNR point), loading.sweep_total_bits (the bit
+totals of every SNR grid and system) and sweep_points (aggregation and the
+eta_r rule).
 
 The `validate-ber` subcommand checks every analytic BER model against the
 symbol-level simulator over its whole usable range and fails loudly on
@@ -135,8 +138,9 @@ class SweepConfig:
 
 
 def _resolve_profiles(cfg: SweepConfig):
-    """Profiles to compute: requested systems, any custom map, and the
-    reference system (always simulated, it is the ratio denominator)."""
+    """The output names and the profiles to compute, by name: requested
+    systems, any custom map, and the reference system (always simulated,
+    it is the ratio denominator)."""
     out_names = list(cfg.systems)
     profiles = {n: build_profile(n, cfg.n_f, cfg.n_t) for n in out_names}
     if cfg.profile_file is not None:
@@ -152,9 +156,7 @@ def _resolve_profiles(cfg: SweepConfig):
         out_names.append(custom.name)
     if REFERENCE_SYSTEM not in profiles:
         profiles[REFERENCE_SYSTEM] = build_profile(REFERENCE_SYSTEM, cfg.n_f, cfg.n_t)
-    computed = [REFERENCE_SYSTEM]
-    computed += [n for n in profiles if n != REFERENCE_SYSTEM]
-    return out_names, computed, profiles
+    return out_names, profiles
 
 
 #: Channel draws loaded per sweep_total_bits call, per granularity.  Each
@@ -166,6 +168,20 @@ def _resolve_profiles(cfg: SweepConfig):
 DRAWS_PER_CALL = {"subcarrier": 2, "block": 8}
 
 
+def trial_gammas(cfg: SweepConfig, chan, pt_i: int, trial: int) -> np.ndarray:
+    """Gammas of one (p_t index, trial) channel draw at every swept SNR
+    point, as a (len(snr_db), n_f, n_t) stack.
+
+    The draw is seeded by (seed, p_t index, trial) alone, so every system
+    and SNR point of a trial shares it, whichever worker or batch loads it.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, pt_i, trial)))
+    real = draw_realization(chan, cfg.n_f, cfg.n_t, rng, n_fft=cfg.n_fft)
+    noise_vars = np.array([_noise_var(s) for s in cfg.snr_db])
+    # every SNR point's grid at once
+    return snr_grid(real, noise_vars[:, None, None]).gamma
+
+
 def _sweep_chunk(cfg, chan, grids, lo, hi):
     """Per-trial bit totals for trials [lo, hi), as (p_t, snr, system, trial).
 
@@ -174,26 +190,20 @@ def _sweep_chunk(cfg, chan, grids, lo, hi):
     and loaded DRAWS_PER_CALL[granularity] at a time, so a call may span
     two targets, and each SNR grid is compared with its own draw's target.
     Each sweep_total_bits call loads every SNR point and system of its
-    draws, so memory does not grow with trials.  Each trial's draw depends
-    only on (seed, p_t index, trial), and the loader's totals do not depend
-    on which draws share a call, so neither the batching nor the split
-    shows in the output.
+    draws, so memory does not grow with trials.  Each trial's gammas
+    depend only on (seed, p_t index, trial) (see trial_gammas), and the
+    loader's totals do not depend on which draws share a call, so neither
+    the batching nor the split shows in the output.
     """
-    noise_vars = np.array([_noise_var(s) for s in cfg.snr_db])
     n_snr, n_grids = len(cfg.snr_db), len(grids)
     out = np.zeros((len(cfg.p_t), n_snr, n_grids, hi - lo), dtype=np.int64)
     draws = np.array([(pt_i, trial) for pt_i in range(len(cfg.p_t)) for trial in range(lo, hi)])
     per_call = DRAWS_PER_CALL[cfg.granularity]
     for first in range(0, len(draws), per_call):
         batch = draws[first:first + per_call]
-        gammas = []
-        for pt_i, trial in batch.tolist():
-            rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, pt_i, trial)))
-            real = draw_realization(chan, cfg.n_f, cfg.n_t, rng, n_fft=cfg.n_fft)
-            # every SNR point's grid at once
-            gammas.append(snr_grid(real, noise_vars[:, None, None]).gamma)
+        gammas = np.concatenate([trial_gammas(cfg, chan, *draw) for draw in batch.tolist()])
         p_t = np.repeat(np.take(cfg.p_t, batch[:, 0]), n_snr)
-        bits = sweep_total_bits(grids, np.concatenate(gammas), p_t, cfg.granularity)
+        bits = sweep_total_bits(grids, gammas, p_t, cfg.granularity)
         out[batch[:, 0], :, :, batch[:, 1] - lo] = bits.reshape(len(batch), n_snr, n_grids)
     return out
 
@@ -248,34 +258,27 @@ def _fan_out(cfg, chan, grids, spans):
             recv.close()
 
 
-def run_sweep(cfg: SweepConfig) -> list:
-    """Run the configured sweep; returns SweepPoints in output row order."""
-    out_names, computed, profiles = _resolve_profiles(cfg)
-    chan = (
-        load_channel_profile(cfg.channel_file)
-        if cfg.channel_file is not None
-        else tux_profile()
-    )
-    # a profile that does not fit fails here, not in every forked worker
-    check_dft_fit(chan, cfg.n_fft, cfg.n_f)
-    grids = [profiles[n].grid for n in computed]
-    workers = min(cfg.workers, cfg.trials)
-    bounds = [(cfg.trials * i) // workers for i in range(workers + 1)]
-    spans = list(zip(bounds[:-1], bounds[1:]))  # none empty: workers <= trials
-    chunks = _fan_out(cfg, chan, grids, spans)
-    bits = np.concatenate(chunks, axis=3)  # (p_t, snr, system, trial)
+def sweep_points(cfg: SweepConfig, out_names, names, bits) -> list:
+    """SweepPoints of per-trial bit totals, in output row order.
 
+    bits is int (p_t, snr, system, trial), its system axis in the order of
+    names, which must hold REFERENCE_SYSTEM; a row is written for each
+    system of out_names.  The mean and ci95 are those of bits per position
+    over trials (ci95 is nan for one trial), and eta_r divides a system's
+    bits summed over trials by the reference's on the same draws, nan
+    where the reference carried none.
+    """
     per_position = bits / (cfg.n_f * cfg.n_t)
     if cfg.trials >= 2:
         means, halves = aggregate(per_position)
     else:
         means, halves = per_position[..., 0], np.full(per_position.shape[:-1], math.nan)
     totals = bits.sum(axis=3)
-    ref_i = computed.index(REFERENCE_SYSTEM)
+    ref_i = names.index(REFERENCE_SYSTEM)
     points = []
     for pt_i, p_t in enumerate(cfg.p_t):
         for name in out_names:
-            g_i = computed.index(name)
+            g_i = names.index(name)
             for snr_i, snr in enumerate(cfg.snr_db):
                 cell = pt_i, snr_i, g_i
                 ref_total = int(totals[pt_i, snr_i, ref_i])
@@ -286,6 +289,24 @@ def run_sweep(cfg: SweepConfig) -> list:
                                float(means[cell]), float(halves[cell]), eta)
                 )
     return points
+
+
+def run_sweep(cfg: SweepConfig) -> list:
+    """Run the configured sweep; returns SweepPoints in output row order."""
+    out_names, profiles = _resolve_profiles(cfg)
+    chan = (
+        load_channel_profile(cfg.channel_file)
+        if cfg.channel_file is not None
+        else tux_profile()
+    )
+    # a profile that does not fit fails here, not in every forked worker
+    check_dft_fit(chan, cfg.n_fft, cfg.n_f)
+    grids = [p.grid for p in profiles.values()]
+    workers = min(cfg.workers, cfg.trials)
+    bounds = [(cfg.trials * i) // workers for i in range(workers + 1)]
+    spans = list(zip(bounds[:-1], bounds[1:]))  # none empty: workers <= trials
+    bits = np.concatenate(_fan_out(cfg, chan, grids, spans), axis=3)
+    return sweep_points(cfg, out_names, list(profiles), bits)
 
 
 def write_csv(points, fh):

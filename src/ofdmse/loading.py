@@ -531,8 +531,10 @@ def sweep_total_bits(grids, gammas, p_t, granularity: str) -> np.ndarray:
     channel draw or several, under one target or several; each row depends
     only on its own SNR grid and target.  The gammas are checked once for
     the whole stack.  The SNR grids must share the constraint grids' shape,
-    and every target must lie in (0, 0.5).  The sweep's grids are all new,
-    so this bypasses the memo.
+    and every target must lie in (0, 0.5); the granularity must be
+    "subcarrier" or "block".  Each is refused with ValueError, in the words
+    of the single-grid solvers and SweepConfig.  The sweep's grids are all
+    new, so this bypasses the memo.
 
     In subcarrier granularity one batched call of the greedy core scores
     the full bits x BER table, one BER kernel call per scheme over every
@@ -541,9 +543,19 @@ def sweep_total_bits(grids, gammas, p_t, granularity: str) -> np.ndarray:
     W per pair with the block core's own _block_scores arithmetic, so the
     totals are block_allocate's (see _block_totals for why).
     """
-    masks = np.stack([flat_mask(g) for g in grids])
+    if granularity not in ("subcarrier", "block"):
+        raise ValueError("granularity must be subcarrier or block")
     gammas = np.asarray(gammas, dtype=float)
+    for g in grids:
+        if gammas.ndim != 3 or gammas.shape[1:] != (g.n_f, g.n_t):
+            raise ValueError(
+                f"SNR grid {gammas.shape[1:]} does not match constraints ({g.n_f}, {g.n_t})"
+            )
     p_t = np.broadcast_to(np.asarray(p_t, dtype=float), len(gammas))
+    outside = p_t[~((0.0 < p_t) & (p_t < 0.5))]
+    if outside.size:
+        raise ValueError(f"p_t must lie in (0, 0.5), got {float(outside[0])!r}")
+    masks = np.stack([flat_mask(g) for g in grids])
     # a C-order copy of each grid flattened time-major, as _flat_gamma
     flat = gammas.transpose(0, 2, 1).reshape(len(gammas), -1)
     if granularity != "subcarrier":

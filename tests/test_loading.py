@@ -15,7 +15,7 @@ from hypothesis.extra.numpy import arrays
 
 from ofdmse import loading
 from ofdmse.channel import SnrGrid, draw_realization, snr_grid, tux_profile
-from ofdmse.cli import DRAWS_PER_CALL
+from ofdmse.cli import DRAWS_PER_CALL, SweepConfig, trial_gammas
 from ofdmse.loading import (
     Allocation,
     block_allocate,
@@ -666,13 +666,15 @@ def assert_lockstep_matches_core(mask, gamma, p_t):
 
 
 def sweep_draws(trials):
-    """SNR grids of the default sweep's channel draws, one list per trial."""
-    draws = []
-    for trial in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence((0, 0, trial)))
-        real = draw_realization(tux_profile(), 12, 7, rng)
-        draws.append([snr_grid(real, 10 ** (-db / 10)) for db in range(0, 41, 2)])
-    return draws
+    """Gammas of the default sweep's first draws, (trials, 21, 12, 7): each
+    trial's stack of its 21 SNR grids, as the sweep loads it."""
+    cfg, chan = SweepConfig(), tux_profile()
+    return np.stack([trial_gammas(cfg, chan, 0, trial) for trial in range(trials)])
+
+
+def time_major(gammas):
+    """(S, n_f, n_t) gammas as (S, N) rows, positions time-major."""
+    return gammas.transpose(0, 2, 1).reshape(len(gammas), -1)
 
 
 class TestLockstep:
@@ -687,8 +689,7 @@ class TestLockstep:
     @pytest.mark.parametrize("p_t", [1e-3, 1e-2])
     def test_matches_serial_core_on_sweep_draws(self, p_t):
         masks = np.stack([flat_mask(build_profile(n).grid) for n in ("fb", "cm", "lte", "mlte")])
-        for snrs in sweep_draws(2):
-            gamma = np.stack([np.ascontiguousarray(s.gamma.T).ravel() for s in snrs])
+        for gamma in map(time_major, sweep_draws(2)):
             for m in masks:
                 assert_lockstep_matches_core(np.broadcast_to(m, (len(gamma),) + m.shape),
                                              gamma, p_t)
@@ -724,12 +725,11 @@ class TestLockstep:
     def test_sweep_totals_do_not_depend_on_batch(self, granularity):
         grids = [build_profile(n).grid for n in ("fb", "cm", "lte", "mlte")]
         draws = sweep_draws(3)
-        gammas = np.stack([s.gamma for d in draws for s in d])
+        gammas = np.concatenate(draws)
         one_call = {}
         for p_t in (1e-3, 1e-2):
             one_call[p_t] = sweep_total_bits(grids, gammas, p_t, granularity)
-            per_draw = [sweep_total_bits(grids, np.stack([s.gamma for s in d]), p_t, granularity)
-                        for d in draws]
+            per_draw = [sweep_total_bits(grids, d, p_t, granularity) for d in draws]
             np.testing.assert_array_equal(one_call[p_t], np.concatenate(per_draw))
         assert (one_call[1e-2] != one_call[1e-3]).any()
         # one call on a column that mixes both targets gives each SNR grid
@@ -743,7 +743,7 @@ class TestLockstep:
         # the call traces about 3.2 MiB at its peak; the bound leaves about
         # 10% for the allocator's own growth
         grids = [build_profile(n).grid for n in ("fb", "cm", "lte", "mlte")]
-        gammas = np.stack([s.gamma for d in sweep_draws(2) for s in d])
+        gammas = np.concatenate(sweep_draws(2))
         expected = sweep_total_bits(grids, gammas, 1e-3, "subcarrier")
         tracemalloc.start()
         try:
@@ -766,6 +766,37 @@ class TestLockstep:
             assert totals.shape == (len(snrs), len(grids))
             expected = [[allocate(snr, g, p_t).total_bits for g in grids] for snr in snrs]
             np.testing.assert_array_equal(totals, expected)
+
+
+class TestSweepRefusals:
+    """sweep_total_bits refuses input the single-grid solvers and SweepConfig
+    refuse, in their words.  Without the shape check a (1, 1, 1) or
+    transposed stack broadcasts over the 12 x 7 fb grid and loads 504 bits."""
+
+    FB = [build_profile("fb").grid]
+
+    @pytest.mark.parametrize("granularity", ["subcarrier", "block"])
+    def test_one_position_stack_refused(self, granularity):
+        with pytest.raises(ValueError, match=r"^SNR grid \(1, 1\) does not match "
+                                             r"constraints \(12, 7\)$"):
+            sweep_total_bits(self.FB, np.full((1, 1, 1), 1e6), 1e-3, granularity)
+
+    @pytest.mark.parametrize("granularity", ["subcarrier", "block"])
+    def test_transposed_stack_refused(self, granularity):
+        with pytest.raises(ValueError, match=r"^SNR grid \(7, 12\) does not match "
+                                             r"constraints \(12, 7\)$"):
+            sweep_total_bits(self.FB, np.full((1, 7, 12), 1e6), 1e-3, granularity)
+
+    @pytest.mark.parametrize("granularity", ["subcarrier", "block"])
+    @pytest.mark.parametrize("p_t", [0.7, -1.0, [1e-3, 0.5]])
+    def test_target_outside_range_refused(self, granularity, p_t):
+        bad = np.ravel(p_t)[-1]
+        with pytest.raises(ValueError, match=rf"^p_t must lie in \(0, 0\.5\), got {bad}$"):
+            sweep_total_bits(self.FB, np.full((2, 12, 7), 1e6), p_t, granularity)
+
+    def test_unknown_granularity_refused(self):
+        with pytest.raises(ValueError, match="^granularity must be subcarrier or block$"):
+            sweep_total_bits(self.FB, np.full((1, 12, 7), 1e6), 1e-3, "blok")
 
 
 class TestSetSize:
@@ -818,8 +849,8 @@ class TestDenseCandidates:
     def test_matches_argmin_on_sweep_draws(self):
         # the sweep's broadcast: (1, systems, ...) masks, (grids, 1, ...) costs
         masks = np.stack([flat_mask(build_profile(n).grid) for n in ("fb", "cm", "lte", "mlte")])
-        for snrs in sweep_draws(2):
-            cost = _ber_table(np.stack([np.ascontiguousarray(s.gamma.T).ravel() for s in snrs]))
+        for gammas in sweep_draws(2):
+            cost = _ber_table(time_major(gammas))
             cost *= CATALOG_BITS[:, None]
             assert_candidates_match_argmin(masks[None], cost[:, None])
             for m in masks:
@@ -1017,8 +1048,7 @@ class TestBlockCost:
             computed.append(np.size(gamma))
             return real_kernel(s, gamma)
 
-        for snrs in sweep_draws(2):
-            gamma = np.stack([np.ascontiguousarray(s.gamma.T).ravel() for s in snrs])
+        for gamma in map(time_major, sweep_draws(2)):
             with mock.patch.object(loading, "_ber_kernel", counting):
                 totals = _block_totals(masks, gamma, p_t)
             np.testing.assert_array_equal(totals, full_table_totals(masks, gamma, p_t))
@@ -1028,7 +1058,7 @@ class TestBlockCost:
 
     def test_block_sweep_builds_no_table(self):
         grids = [build_profile(n).grid for n in ("fb", "cm", "lte", "mlte")]
-        gammas = np.stack([s.gamma for s in sweep_draws(1)[0]])
+        gammas = sweep_draws(1)[0]
         expected = sweep_total_bits(grids, gammas, 1e-3, "block")
         with mock.patch.object(loading, "_ber_table", side_effect=AssertionError), \
                 mock.patch.object(loading, "_block_core", side_effect=AssertionError):
@@ -1126,7 +1156,7 @@ class TestBlockCost:
         # settle the others
         masks = np.stack([flat_mask(build_profile(n).grid) for n in ("fb", "cm", "lte", "mlte")])
         draws = sweep_draws(40)
-        gamma = np.stack([np.ascontiguousarray(s.gamma.T).ravel() for d in draws for s in d])
+        gamma = time_major(np.concatenate(draws))
         rows = []
         for first in range(0, len(gamma), 8 * 21):
             rows += self.full_rows(masks, gamma[first:first + 8 * 21], p_t)[1]
@@ -1146,9 +1176,9 @@ class TestBlockCost:
         # per draw at p_t 1e-3 and 117 KB at 1e-2
         draws = DRAWS_PER_CALL["block"]
         grids = [build_profile(n).grid for n in ("fb", "cm", "lte", "mlte")]
-        gammas = np.stack([s.gamma for d in sweep_draws(draws) for s in d])
+        gammas = np.concatenate(sweep_draws(draws))
         expected = full_table_totals(np.stack([flat_mask(g) for g in grids]),
-                                     gammas.transpose(0, 2, 1).reshape(len(gammas), -1), p_t)
+                                     time_major(gammas), p_t)
         tracemalloc.start()
         try:
             totals = sweep_total_bits(grids, gammas, p_t, "block")
