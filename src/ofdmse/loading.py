@@ -320,15 +320,13 @@ def _greedy_lockstep(mask, cost, p_t):
 
     mask and cost are (..., n_schemes, N) and broadcast against each other;
     each leading index is one grid, and the results keep the leading shape
-    (greedy_allocate calls it on one grid, with no leading axes).  p_t is
-    one target, or an array of targets that broadcasts against the leading
-    shape, so each grid has its own; every test below uses that grid's
-    target, and a grid's floats do not depend on the others'.  Every grid
-    still in play advances in the same iteration, and each grid ends
-    bit-identical to the reference serial loop in tests/test_loading.py,
-    which commits one move per iteration.  A grid leaves the batch in the
-    step that finds it no feasible move, before any filter runs on it, and
-    the loop ends when no grid is left.
+    (greedy_allocate calls it on one grid, with no leading axes); p_t is
+    one target for every grid.  Every grid still in play advances in the
+    same iteration, and each grid ends bit-identical to the reference
+    serial loop in tests/test_loading.py, which commits one move per
+    iteration.  A grid leaves the batch in the step that finds it no
+    feasible move, before any filter runs on it, and the loop ends when no
+    grid is left.
 
     Moves are scored per gain class: by_gain[row, g - 1, p] is the cost of
     the move at p that gains g bits (_NO_MOVE if no level has that many bits
@@ -374,7 +372,6 @@ def _greedy_lockstep(mask, cost, p_t):
     cand_idx = cand_idx.reshape(r, levels, n)
     by_gain = by_gain.reshape(r, _GAINS.size + 1, n)
     two_cmax = np.multiply(cost.max(axis=(-2, -1)), 2.0, out=np.empty(lead)).reshape(r)
-    p_t = np.full(lead, p_t).reshape(r)
     out_bits = np.empty((r, n), dtype=np.int8)
     out_s = np.zeros(r)
     out_w = np.zeros(r, dtype=np.int64)
@@ -386,13 +383,8 @@ def _greedy_lockstep(mask, cost, p_t):
     num_buf = np.empty_like(by_gain)
     e_buf = np.zeros((r, n + 1))
     steps = np.arange(n + 1)
-    # p_t g j for each distinct target, gain g and count j of moves, as E_j
-    # subtracts it; a grid's row is pg_at + g.  A step's take from this
-    # small table is about 5x faster than the (grids, N + 1) product.
-    targets = np.unique(p_t)
-    pg_steps = (targets[:, None] * np.arange(_GAINS.size + 1))[..., None] * steps
-    pg_steps = pg_steps.reshape(-1, n + 1)
-    pg_at = targets.searchsorted(p_t) * (_GAINS.size + 1)
+    # p_t g j for every gain g and count j of moves, as E_j subtracts it
+    pg_steps = (p_t * np.arange(_GAINS.size + 1))[:, None] * steps
     pos = np.arange(n)
     # each step of a grid commits at least one move (at most _GAINS.size * n
     # in all, as each adds bits), rejects a candidate for good (at most
@@ -407,7 +399,7 @@ def _greedy_lockstep(mask, cost, p_t):
         num -= cur_cost[:, None, :]
         low = num[:, :-1].min(axis=2)
         # the greatest gain with a feasible move, 0 where there is none
-        g = ((low / (w_sum[:, None] + _GAINS) <= p_t[:, None]) * _GAINS).max(axis=1)
+        g = ((low / (w_sum[:, None] + _GAINS) <= p_t) * _GAINS).max(axis=1)
         if np.count_nonzero(g) < rows.size:
             # a grid without a feasible move is final; drop it from the batch
             done = g == 0
@@ -416,9 +408,9 @@ def _greedy_lockstep(mask, cost, p_t):
             live = np.flatnonzero(g)
             if not live.size:
                 break
-            rows, p_t, pg_at, s_sum, w_sum, two_cmax, low, g, cur_bits, cur_cost = (
+            rows, s_sum, w_sum, two_cmax, low, g, cur_bits, cur_cost = (
                 a.take(live, axis=0)
-                for a in (rows, p_t, pg_at, s_sum, w_sum, two_cmax, low, g, cur_bits, cur_cost))
+                for a in (rows, s_sum, w_sum, two_cmax, low, g, cur_bits, cur_cost))
             # the spent numerator buffer takes the table's live rows; mode
             # "clip" writes straight into it, and every index is valid
             by_gain, num_buf = by_gain.take(live, axis=0, mode="clip",
@@ -431,7 +423,7 @@ def _greedy_lockstep(mask, cost, p_t):
         ks[...] = keys
         ks.sort(axis=1)
         n_set = _set_size(ks, low, s_sum, w_sum, g, p_t, two_cmax, e_buf[: rows.size], steps,
-                          pg_steps.take(pg_at + g, axis=0))
+                          pg_steps.take(g, axis=0))
         # by (b) the J smallest keys are exactly those at most k_J
         commit = keys <= ks[here, n_set - 1][:, None]
         if np.count_nonzero(n_set) < rows.size:
@@ -452,17 +444,16 @@ def _set_size(ks, low, s_sum, w_sum, g, p_t, two_cmax, e, steps, pg):
     """The set step's filter (see _greedy_lockstep) for a batch of grids.
 
     ks holds each grid's class-g keys in ascending order, low the step's
-    smallest numerator per class, p_t each grid's target and two_cmax twice
-    the largest cost of the grid; e is a (grids, N + 1) buffer whose first
-    column is 0, steps is 0 .. N and pg[:, j] is p_t g j.  Returns the
-    number J of moves that the serial loop provably commits next, 0 where
-    the filter cannot decide.
+    smallest numerator per class, two_cmax twice the largest cost of the
+    grid; e is a (grids, N + 1) buffer whose first column is 0, steps is
+    0 .. N and pg[:, j] is p_t g j.  Returns the number J of moves that the
+    serial loop provably commits next, 0 where the filter cannot decide.
     """
     n = ks.shape[1]
     delta = 8 * n * 2.0 ** -53 * (p_t * (w_sum + g * n) + two_cmax)
     room = p_t * w_sum - s_sum
     # smallest key less p_t h of any class h above g, over every position
-    above = np.minimum.reduce(low - p_t[:, None] * _GAINS, axis=1, initial=_NO_MOVE,
+    above = np.minimum.reduce(low - p_t * _GAINS, axis=1, initial=_NO_MOVE,
                               where=_ABOVE.take(g, axis=0))
     above -= s_sum
     ks.cumsum(axis=1, out=e[:, 1:])
@@ -478,9 +469,8 @@ def _commit(cur_bits, cur_cost, by_gain, bg, g, commit, n_set, s_sum, w_sum, p_t
     """Commit the class-g moves at the positions where commit is set: n_set
     of them in each grid, or one where n_set is 0 (a single move), each
     gaining g bits at cost bg.  The guard rejects a single move whose full
-    recompute exceeds its grid's p_t; a set cannot fail it.  cur_bits,
-    by_gain and commit change in place; returns the new (cur_cost, S, W)
-    per grid.
+    recompute exceeds p_t; a set cannot fail it.  cur_bits, by_gain and
+    commit change in place; returns the new (cur_cost, S, W) per grid.
 
     The new costs are one select over the whole (grids, N) state, and W
     grows by g per move.  A committed move of g bits shifts its position's
@@ -523,35 +513,47 @@ def _commit(cur_bits, cur_cost, by_gain, bg, g, commit, n_set, s_sum, w_sum, p_t
 def sweep_total_bits(grids, gammas, p_t, granularity: str) -> np.ndarray:
     """Bit totals of every (SNR grid, constraint grid) pair.
 
-    gammas is an (S, n_f, n_t) stack of SNR grids' gamma arrays, and p_t
-    one target for all of them or a sequence of S targets, one per SNR
+    gammas is an (S, n_f, n_t) stack of S >= 1 SNR grids' gamma arrays, and
+    p_t one target for all of them or a sequence of S targets, one per SNR
     grid.  Returns int64 (S, len(grids)): the total_bits greedy_allocate
     ("subcarrier" granularity) or block_allocate ("block") would give for
     each pair at its SNR grid's target.  The SNR grids may come from one
     channel draw or several, under one target or several; each row depends
-    only on its own SNR grid and target.  The gammas are checked once for
-    the whole stack.  The SNR grids must share the constraint grids' shape,
-    and every target must lie in (0, 0.5); the granularity must be
-    "subcarrier" or "block".  Each is refused with ValueError, in the words
-    of the single-grid solvers and SweepConfig.  The sweep's grids are all
-    new, so this bypasses the memo.
+    only on its own SNR grid and target.  grids must hold at least one
+    constraint grid, the SNR grids must share its shape, p_t must give one
+    target or S, and every target must lie in (0, 0.5); the granularity
+    must be "subcarrier" or "block".  Each is refused with ValueError, in
+    the words of the single-grid solvers and SweepConfig where they have
+    one.  The sweep's grids are all new, so this bypasses the memo.
 
-    In subcarrier granularity one batched call of the greedy core scores
-    the full bits x BER table, one BER kernel call per scheme over every
-    SNR grid.  In block granularity _block_totals gives W directly: it
-    computes only the rows a block total can depend on and keeps the best
-    W per pair with the block core's own _block_scores arithmetic, so the
-    totals are block_allocate's (see _block_totals for why).
+    In subcarrier granularity the greedy core runs once per distinct
+    target, over that target's SNR grids: one batched call scores their
+    full bits x BER table, with one BER kernel call per scheme over all of
+    them, and its totals are written back to their rows.  In block
+    granularity _block_totals gives W directly, every row at its own
+    target in one call: it computes only the rows a block total can depend
+    on and keeps the best W per pair with the block core's own
+    _block_scores arithmetic, so the totals are block_allocate's (see
+    _block_totals for why).
     """
     if granularity not in ("subcarrier", "block"):
         raise ValueError("granularity must be subcarrier or block")
+    if not len(grids):
+        raise ValueError("grids must hold at least one constraint grid")
     gammas = np.asarray(gammas, dtype=float)
     for g in grids:
         if gammas.ndim != 3 or gammas.shape[1:] != (g.n_f, g.n_t):
             raise ValueError(
                 f"SNR grid {gammas.shape[1:]} does not match constraints ({g.n_f}, {g.n_t})"
             )
-    p_t = np.broadcast_to(np.asarray(p_t, dtype=float), len(gammas))
+    if not len(gammas):
+        raise ValueError(f"gammas must hold at least one SNR grid, got shape {gammas.shape}")
+    p_t = np.ravel(np.asarray(p_t, dtype=float))
+    if p_t.size not in (1, len(gammas)):
+        raise ValueError(
+            f"p_t must be one target or one per SNR grid ({len(gammas)}), got {p_t.size}"
+        )
+    p_t = np.broadcast_to(p_t, len(gammas))
     outside = p_t[~((0.0 < p_t) & (p_t < 0.5))]
     if outside.size:
         raise ValueError(f"p_t must lie in (0, 0.5), got {float(outside[0])!r}")
@@ -560,10 +562,13 @@ def sweep_total_bits(grids, gammas, p_t, granularity: str) -> np.ndarray:
     flat = gammas.transpose(0, 2, 1).reshape(len(gammas), -1)
     if granularity != "subcarrier":
         return _block_totals(masks, flat, p_t)
-    cost = _ber_table(flat)
-    cost *= CATALOG_BITS[:, None]
-    del flat  # the core never reads it; freed, it stays out of its peak
-    return _greedy_lockstep(masks[None], cost[:, None], p_t[:, None])[2]
+    totals = np.empty((len(flat), len(masks)), dtype=np.int64)
+    for target in np.unique(p_t):
+        at = np.flatnonzero(p_t == target)
+        cost = _ber_table(flat[at])
+        cost *= CATALOG_BITS[:, None]
+        totals[at] = _greedy_lockstep(masks[None], cost[:, None], target)[2]
+    return totals
 
 
 def exhaustive_allocate(

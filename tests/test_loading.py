@@ -651,13 +651,13 @@ def _greedy_core(mask, cost, p_t):
 
 def assert_lockstep_matches_core(mask, gamma, p_t):
     """The lockstep core on the batch, and on each grid alone with no
-    leading axes as greedy_allocate calls it, matches the serial loop.
-    p_t is one target, or one per grid, each grid checked at its own."""
+    leading axes as greedy_allocate calls it, matches the serial loop at
+    the one target p_t."""
     cost = CATALOG_BITS[:, None] * _ber_table(gamma)
     idx, s_sum, w_sum = _greedy_lockstep(mask, cost, p_t)
-    for r, target in enumerate(np.broadcast_to(p_t, mask.shape[0]).tolist()):
-        ref_idx, ref_s, ref_w = _greedy_core(mask[r], cost[r], target)
-        one_idx, one_s, one_w = _greedy_lockstep(mask[r], cost[r], target)
+    for r in range(mask.shape[0]):
+        ref_idx, ref_s, ref_w = _greedy_core(mask[r], cost[r], p_t)
+        one_idx, one_s, one_w = _greedy_lockstep(mask[r], cost[r], p_t)
         assert one_idx.shape == ref_idx.shape and one_s.shape == one_w.shape == ()
         for got_idx, got_s, got_w in ((idx[r], s_sum[r], w_sum[r]), (one_idx, one_s, one_w)):
             np.testing.assert_array_equal(got_idx, ref_idx)
@@ -679,12 +679,11 @@ def time_major(gammas):
 
 class TestLockstep:
     @settings(max_examples=200, deadline=None)
-    @given(batch=lockstep_batches(), targets=st.lists(
-        st.one_of(st.sampled_from([1e-3, 1e-2]), st.floats(1e-5, 0.3)), min_size=6, max_size=6))
-    def test_matches_serial_core_row_by_row(self, batch, targets):
-        # one target per grid, some shared; lockstep_batches draws at most 6 grids
+    @given(batch=lockstep_batches(),
+           p_t=st.one_of(st.sampled_from([1e-3, 1e-2]), st.floats(1e-5, 0.3)))
+    def test_matches_serial_core_row_by_row(self, batch, p_t):
         mask, gamma = batch
-        assert_lockstep_matches_core(mask, gamma, np.array(targets[: len(gamma)]))
+        assert_lockstep_matches_core(mask, gamma, p_t)
 
     @pytest.mark.parametrize("p_t", [1e-3, 1e-2])
     def test_matches_serial_core_on_sweep_draws(self, p_t):
@@ -726,33 +725,37 @@ class TestLockstep:
         grids = [build_profile(n).grid for n in ("fb", "cm", "lte", "mlte")]
         draws = sweep_draws(3)
         gammas = np.concatenate(draws)
-        one_call = {}
-        for p_t in (1e-3, 1e-2):
-            one_call[p_t] = sweep_total_bits(grids, gammas, p_t, granularity)
+        targets = np.array([1e-3, 1e-2, 0.1])
+        one_call = []
+        for p_t in targets:
+            one_call.append(sweep_total_bits(grids, gammas, p_t, granularity))
             per_draw = [sweep_total_bits(grids, d, p_t, granularity) for d in draws]
-            np.testing.assert_array_equal(one_call[p_t], np.concatenate(per_draw))
-        assert (one_call[1e-2] != one_call[1e-3]).any()
-        # one call on a column that mixes both targets gives each SNR grid
-        # its own target's totals
-        loose = np.arange(len(gammas)) % 3 == 1
-        mixed = sweep_total_bits(grids, gammas, np.where(loose, 1e-2, 1e-3), granularity)
-        np.testing.assert_array_equal(
-            mixed, np.where(loose[:, None], one_call[1e-2], one_call[1e-3]))
+            np.testing.assert_array_equal(one_call[-1], np.concatenate(per_draw))
+        assert all((a != b).any() for a, b in zip(one_call, one_call[1:]))
+        # one call on a column that interleaves the three targets, none of
+        # them in one contiguous run, gives each SNR grid its own target's
+        # totals in its own row
+        which = np.arange(len(gammas)) % 3
+        mixed = sweep_total_bits(grids, gammas, targets[which], granularity)
+        np.testing.assert_array_equal(mixed, np.choose(which[:, None], one_call))
 
     def test_two_draw_sweep_call_stays_within_its_memory(self):
-        # the call traces about 3.2 MiB at its peak; the bound leaves about
-        # 10% for the allocator's own growth
+        # the call traces about 3.2 MiB at its peak at one target, and about
+        # 1.7 MiB when it straddles two targets, one draw each, and so makes
+        # two one-draw core calls; the bound leaves about 10% for the
+        # allocator's own growth
         grids = [build_profile(n).grid for n in ("fb", "cm", "lte", "mlte")]
         gammas = np.concatenate(sweep_draws(2))
-        expected = sweep_total_bits(grids, gammas, 1e-3, "subcarrier")
-        tracemalloc.start()
-        try:
-            totals = sweep_total_bits(grids, gammas, 1e-3, "subcarrier")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        np.testing.assert_array_equal(totals, expected)
-        assert peak < 3.5 * 2 ** 20
+        for p_t in (1e-3, np.repeat([1e-3, 1e-2], len(gammas) // 2)):
+            expected = sweep_total_bits(grids, gammas, p_t, "subcarrier")
+            tracemalloc.start()
+            try:
+                totals = sweep_total_bits(grids, gammas, p_t, "subcarrier")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            np.testing.assert_array_equal(totals, expected)
+            assert peak < 3.5 * 2 ** 20
 
     @pytest.mark.parametrize("granularity,allocate", [
         ("subcarrier", greedy_allocate), ("block", block_allocate)])
@@ -770,8 +773,9 @@ class TestLockstep:
 
 class TestSweepRefusals:
     """sweep_total_bits refuses input the single-grid solvers and SweepConfig
-    refuse, in their words.  Without the shape check a (1, 1, 1) or
-    transposed stack broadcasts over the 12 x 7 fb grid and loads 504 bits."""
+    refuse, in their words, and names the argument of an empty or
+    mismatched one.  Without the shape check a (1, 1, 1) or transposed
+    stack broadcasts over the 12 x 7 fb grid and loads 504 bits."""
 
     FB = [build_profile("fb").grid]
 
@@ -794,6 +798,23 @@ class TestSweepRefusals:
         with pytest.raises(ValueError, match=rf"^p_t must lie in \(0, 0\.5\), got {bad}$"):
             sweep_total_bits(self.FB, np.full((2, 12, 7), 1e6), p_t, granularity)
 
+    @pytest.mark.parametrize("granularity", ["subcarrier", "block"])
+    def test_target_count_mismatch_refused(self, granularity):
+        with pytest.raises(ValueError, match=r"^p_t must be one target or one per SNR grid "
+                                             r"\(2\), got 3$"):
+            sweep_total_bits(self.FB, np.full((2, 12, 7), 1e6), [1e-3, 1e-2, 0.1], granularity)
+
+    @pytest.mark.parametrize("granularity", ["subcarrier", "block"])
+    def test_no_constraint_grid_refused(self, granularity):
+        with pytest.raises(ValueError, match="^grids must hold at least one constraint grid$"):
+            sweep_total_bits([], np.full((1, 12, 7), 1e6), 1e-3, granularity)
+
+    @pytest.mark.parametrize("granularity", ["subcarrier", "block"])
+    def test_empty_stack_refused(self, granularity):
+        with pytest.raises(ValueError, match=r"^gammas must hold at least one SNR grid, "
+                                             r"got shape \(0, 12, 7\)$"):
+            sweep_total_bits(self.FB, np.zeros((0, 12, 7)), 1e-3, granularity)
+
     def test_unknown_granularity_refused(self):
         with pytest.raises(ValueError, match="^granularity must be subcarrier or block$"):
             sweep_total_bits(self.FB, np.full((1, 12, 7), 1e6), 1e-3, "blok")
@@ -815,7 +836,7 @@ class TestSetSize:
         low = np.full((1, _GAINS.size), _NO_MOVE)
         low[0, :2] = ks[0, 0], above + 2 * p_t
         steps = np.arange(n + 1)
-        n_set = _set_size(ks, low, s_sum, w_sum, g, np.array([p_t]), np.array([two_cmax]),
+        n_set = _set_size(ks, low, s_sum, w_sum, g, p_t, np.array([two_cmax]),
                           np.zeros((1, n + 1)), steps, p_t * g[:, None] * steps)
         assert n_set.tolist() == [1]
 
