@@ -4,18 +4,15 @@ Independent empirical route against which the closed-form BER models are
 validated: random bits are Gray-mapped onto the unit-average-energy
 constellation, passed through additive circularly symmetric complex Gaussian
 noise of total variance 1/gamma, and detected by minimum Euclidean distance.
-Each transmitted point and its Gray label are read from per-scheme tables of
-the constellation, built with the per-symbol expressions, so a batch
-evaluates no complex exponential and no label arithmetic per sent symbol.
-The received symbols are held as their exact real and imaginary parts, and
-ASK detection, which reads only the real axis, draws only the real noise
-component.
+Each scheme's tables are built once, read-only; a batch draws its random
+numbers, detects in place and counts its errors with one table gather.
 """
 
 from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -62,12 +59,7 @@ def _gray_codes(n: int) -> np.ndarray:
 
 
 def _bit_error_table(n_bits: int) -> np.ndarray:
-    x = np.arange(1 << n_bits)
-    table = np.zeros_like(x)
-    while np.any(x):
-        table += x & 1
-        x = x >> 1
-    return table
+    return np.array([bin(x).count("1") for x in range(1 << n_bits)])
 
 
 def _constellation(scheme: ModulationScheme) -> tuple[np.ndarray, float]:
@@ -100,40 +92,58 @@ def _labels(scheme: ModulationScheme) -> np.ndarray:
     return (axis_gray[sym // side] << half_bits) | axis_gray[sym % side]
 
 
+@lru_cache(maxsize=None)
+def _scheme_tables(scheme: ModulationScheme) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    """The real and imaginary parts of `scheme`'s points, its detection scale
+    and its (order, order) bit-error table, popcount(label[s] ^ label[d])."""
+    points, scale = _constellation(scheme)
+    labels = _labels(scheme)
+    re, im = points.real.copy(), points.imag.copy()
+    errs = _bit_error_table(scheme.bits)[labels[:, None] ^ labels]
+    for table in (re, im, errs):
+        table.flags.writeable = False
+    return re, im, scale, errs
+
+
 def _simulate_batch(scheme: ModulationScheme, gamma: float, n: int,
                     rng: np.random.Generator) -> int:
     """Bit errors over `n` symbols; exact ML detection per constellation geometry.
 
-    The received symbol is points[sent] + (a + 1j b) c, with a and b the
-    real and imaginary noise draws and c = sqrt(0.5 / gamma).  Its real
-    part is exactly points.real[sent] + a c and its imaginary part
-    points.imag[sent] + b c, so the batch works on those two real arrays.
-    ASK detection reads only the real part, so an ASK batch never draws b,
-    the generator's last use.
+    The rows of `y` hold the real and imaginary parts of points[sent] +
+    (a + 1j b) sqrt(0.5 / gamma) for noise draws a and b, rewritten in place
+    with the per-symbol expression's floats.  ASK reads y.real alone, never b.
     """
     order = scheme.order
-    k = scheme.bits
-    popcount = _bit_error_table(k)
-    labels = _labels(scheme)
+    re, im, scale, errs = _scheme_tables(scheme)
     sent = rng.integers(0, order, n)
-    points, scale = _constellation(scheme)
-    c = np.sqrt(0.5 / gamma)
-    y_re = points.real[sent] + rng.standard_normal(n) * c
-    if scheme.family != ModulationFamily.ASK:
-        y_im = points.imag[sent] + rng.standard_normal(n) * c
-    if scheme.family == ModulationFamily.ASK:
-        det = np.clip(np.round(y_re / scale).astype(np.int64), 0, order - 1)
-    elif scheme.family == ModulationFamily.PSK:
-        # np.angle(y) is this arctan2
-        det = np.mod(np.round(np.arctan2(y_im, y_re) * order / (2.0 * np.pi)).astype(np.int64),
-                     order)
+    y = np.empty((1 if scheme.family == ModulationFamily.ASK else 2, n))
+    for row, part in zip(y, (re, im)):
+        rng.standard_normal(out=row)
+        row *= np.sqrt(0.5 / gamma)
+        row += part[sent]
+    if scheme.family == ModulationFamily.PSK:
+        # np.angle(y) is this arctan2; & (order - 1) is np.mod by the power-of-two order
+        det = np.arctan2(y[1], y[0], out=y[0])
+        det *= order
+        det /= 2.0 * np.pi
+        det = np.round(det, out=det).astype(np.int64)
+        det &= order - 1
     else:
-        # the symbol index of the nearest axis levels, numbered as in _constellation
-        side = 1 << (k // 2)
-        di = np.clip(np.round((y_re / scale + side - 1) / 2.0).astype(np.int64), 0, side - 1)
-        dq = np.clip(np.round((y_im / scale + side - 1) / 2.0).astype(np.int64), 0, side - 1)
-        det = di * side + dq
-    return int(popcount[labels[sent] ^ labels[det]].sum())
+        # the nearest level per axis: y / scale for ASK, ((y / scale + side) - 1) / 2 for QAM
+        side = 1 << (scheme.bits // 2) if scheme.family == ModulationFamily.QAM else order
+        y /= scale
+        if scheme.family == ModulationFamily.QAM:
+            y += side
+            y -= 1
+            y /= 2.0
+        axes = np.round(y, out=y).astype(np.int64)
+        det = np.clip(axes, 0, side - 1, out=axes)[0]
+        if scheme.family == ModulationFamily.QAM:
+            # the symbol index of the axis levels, numbered as in _constellation
+            det *= side
+            det += axes[1]
+    sent *= order
+    return int(np.take(errs, np.add(sent, det, out=sent)).sum())
 
 
 def simulate_ber(config: SimConfig) -> tuple[float, float]:

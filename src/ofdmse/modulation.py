@@ -48,24 +48,35 @@ class ModulationScheme:
     order: int
 
     def __post_init__(self):
-        orders = FAMILY_ORDERS.get(ModulationFamily(self.family))
+        family = ModulationFamily(self.family)
+        orders = FAMILY_ORDERS.get(family)
         if self.order not in orders:
             raise ValueError(
-                f"order {self.order} not in the {ModulationFamily(self.family).name} "
-                f"catalog column {orders}"
+                f"order {self.order} not in the {family.name} catalog column {orders}"
             )
+        # computed once: callers render and read these per position; not fields,
+        # so eq, hash, order and repr see only (family, order)
+        object.__setattr__(self, "_name", f"{family.name}{self.order}")
+        object.__setattr__(self, "_bits", self.order.bit_length() - 1)
 
     @property
     def bits(self) -> int:
         """Bits per symbol, log2(order); 0 for the silent order."""
-        return self.order.bit_length() - 1
+        return self._bits
 
     @property
     def silent(self) -> bool:
         return self.order == 1
 
     def __str__(self):
-        return f"{self.family.name}{self.order}"
+        return self._name
+
+    def __getstate__(self):
+        # pickle the two fields alone, so pickles keep their bytes; __setstate__ rebuilds the cache
+        return {"family": self.family, "order": self.order}
+
+    def __setstate__(self, state):
+        self.__init__(**state)
 
 
 #: Full scheme catalog, families in ASK < PSK < QAM order, orders ascending.

@@ -1,6 +1,8 @@
 """Monte Carlo BER simulator tests, plus the model-vs-simulation agreement check."""
 
+import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from ofdmse.ber_sim import (
     _bit_error_table,
     _constellation,
     _gray_codes,
+    _scheme_tables,
     _simulate_batch,
     simulate_ber,
 )
@@ -184,12 +187,36 @@ def test_constellation_table_matches_per_symbol(scheme):
 
 @pytest.mark.parametrize("scheme", NON_SILENT, ids=str)
 def test_batches_match_per_symbol_reference(scheme):
-    for target in (0.3, 0.05, 5e-3, 3e-4):
-        gamma = min_snr_for(scheme, target)
-        for seed in (1, 2, 3):
-            rngs = [np.random.default_rng(np.random.SeedSequence((seed, 0))) for _ in range(2)]
-            assert (_simulate_batch(scheme, gamma, 20_000, rngs[0])
-                    == simulate_batch_per_symbol(scheme, gamma, 20_000, rngs[1]))
+    # gamma 1e-8 puts PSK angles near +-pi (the wrap) and drives ASK and QAM
+    # past both clips; gamma 1e8 gives no errors
+    gammas = [min_snr_for(scheme, t) for t in (0.3, 0.05, 5e-3, 3e-4)] + [1e-8, 1e8]
+    for gamma in gammas:
+        for n in (1, 2, 7, 20_000):
+            for seed in (1, 2, 3):
+                rngs = [np.random.default_rng(np.random.SeedSequence((seed, 0))) for _ in range(2)]
+                got = _simulate_batch(scheme, gamma, n, rngs[0])
+                assert got == simulate_batch_per_symbol(scheme, gamma, n, rngs[1]), (gamma, n, seed)
+                if gamma == 1e8:
+                    assert got == 0
+
+
+@pytest.mark.parametrize("scheme", NON_SILENT, ids=str)
+def test_scheme_tables_are_read_only(scheme):
+    real, imag, _scale, errs = _scheme_tables(scheme)
+    assert errs.shape == (scheme.order, scheme.order)
+    for table in (real, imag, errs):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1
+    assert _scheme_tables(scheme)[3] is errs
+
+
+def test_simulate_ber_matches_golden_fixture():
+    # (p, ci95) recorded from the simulator before its tables were cached, so a
+    # change to the batch and to the per-symbol reference together fails here
+    golden = json.loads((Path(__file__).parent / "fixtures" / "simulate_ber_golden.json").read_text())
+    got = {str(s): list(simulate_ber(SimConfig(s, min_snr_for(s, 0.01), 20_000, 7)))
+           for s in NON_SILENT}
+    assert got == golden
 
 
 def test_simulate_ber_matches_per_symbol_reference(monkeypatch):

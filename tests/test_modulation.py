@@ -10,7 +10,9 @@ byte for byte, with the one-call-per-term models and the serial bisection
 kept below as references.
 """
 
+import copy
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
@@ -76,13 +78,30 @@ def test_off_catalog_orders_rejected():
 
 
 def test_scheme_name_round_trip():
-    for s in CATALOG:
+    for s in CATALOG + (ModulationScheme(QAM, 16), ModulationScheme(ModulationFamily(1), 8)):
+        assert str(s) == f"{s.family.name}{s.order}"
         assert scheme_from_name(str(s)) == s
     assert scheme_from_name("psk16") == ModulationScheme(PSK, 16)
     with pytest.raises(ValueError):
         scheme_from_name("FSK2")
     with pytest.raises(ValueError):
         scheme_from_name("QAM")
+
+
+def test_cached_name_and_bits_leave_the_dataclass_as_it_was():
+    s = ModulationScheme(PSK, 16)
+    assert repr(s) == "ModulationScheme(family=<ModulationFamily.PSK: 2>, order=16)"
+    assert s == ModulationScheme(PSK, 16) and hash(s) == hash((PSK, 16))
+    assert sorted([s, ModulationScheme(ASK, 8), ModulationScheme(PSK, 2)]) == [
+        ModulationScheme(ASK, 8), ModulationScheme(PSK, 2), s]
+    with pytest.raises(AttributeError):
+        s.bits = 3
+    # the pickled state holds the two fields alone, and loading rebuilds the cache
+    assert s.__reduce_ex__(4)[2] == {"family": PSK, "order": 16}
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(s, protocol=protocol))
+        assert back == s and str(back) == "PSK16" and back.bits == 4
+    assert str(copy.deepcopy(s)) == "PSK16" and copy.copy(s).bits == 4
 
 
 def test_bpsk_anchor_value():
