@@ -38,6 +38,7 @@ class SimConfig:
             raise TypeError(f"scheme must be a ModulationScheme, got {self.scheme!r}")
         if isinstance(self.gamma, bool) or not isinstance(self.gamma, numbers.Real):
             raise TypeError(f"gamma must be a real number, got {self.gamma!r}")
+        object.__setattr__(self, "gamma", float(self.gamma))
         for name in ("n_symbols", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):

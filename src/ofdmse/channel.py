@@ -77,7 +77,6 @@ class ChannelRealization:
 
     gains: np.ndarray
     n_fft: int
-    first_subcarrier: int = 0
 
     @property
     def n_f(self) -> int:
@@ -88,25 +87,20 @@ class ChannelRealization:
         return self.gains.shape[1]
 
 
-def check_dft_fit(profile: ChannelProfile, n_fft: int, n_f: int,
-                  first_subcarrier: int = 0) -> None:
+def check_dft_fit(profile: ChannelProfile, n_fft: int, n_f: int) -> None:
     """Raise ValueError unless a DFT of n_fft bins covers the profile's delay
-    spread and the bins first_subcarrier .. first_subcarrier + n_f - 1 each
-    once; bin k is bin k mod n_fft, so a grid beyond n_fft would repeat rows."""
+    spread and the grid's bins 0 .. n_f - 1 each once; bin k is bin
+    k mod n_fft, so a grid beyond n_fft would repeat rows."""
     if max(profile.delays) >= n_fft:
         raise ValueError(
             f"delay spread {max(profile.delays)} does not fit n_fft={n_fft}"
         )
-    if first_subcarrier + n_f > n_fft:
-        raise ValueError(
-            f"subcarriers {first_subcarrier} .. {first_subcarrier + n_f - 1} "
-            f"do not fit n_fft={n_fft}"
-        )
+    if n_f > n_fft:
+        raise ValueError(f"subcarriers 0 .. {n_f - 1} do not fit n_fft={n_fft}")
 
 
 def draw_realization(profile: ChannelProfile, n_f: int, n_t: int,
-                     rng: np.random.Generator, n_fft: int = 128,
-                     first_subcarrier: int = 0) -> ChannelRealization:
+                     rng: np.random.Generator, n_fft: int = 128) -> ChannelRealization:
     """Draw a block-fading grid: fresh independent taps per OFDM symbol column.
 
     Parameters
@@ -116,18 +110,15 @@ def draw_realization(profile: ChannelProfile, n_f: int, n_t: int,
         Grid size, n_f subcarriers by n_t OFDM symbols.
     rng : numpy Generator
     n_fft : int
-        DFT size of the underlying OFDM system (must cover the delay spread
-        and the grid's subcarriers, see check_dft_fit).
-    first_subcarrier : int
-        Bin index of grid row k = 0.
+        DFT size of the underlying OFDM system; grid row k is bin k.  It
+        must cover the delay spread and the grid's rows (see check_dft_fit).
     """
     if n_f < 1 or n_t < 1:
         raise ValueError(f"grid must be at least 1x1, got {n_f}x{n_t}")
-    check_dft_fit(profile, n_fft, n_f, first_subcarrier)
+    check_dft_fit(profile, n_fft, n_f)
     taps = draw_taps(profile, rng, (n_t,))
-    gains = freq_response(taps.T, profile.delays, n_fft,
-                          first_subcarrier + np.arange(n_f))  # (n_f, n_t)
-    return ChannelRealization(gains=gains, n_fft=n_fft, first_subcarrier=first_subcarrier)
+    gains = freq_response(taps.T, profile.delays, n_fft, np.arange(n_f))  # (n_f, n_t)
+    return ChannelRealization(gains=gains, n_fft=n_fft)
 
 
 @dataclass(frozen=True)

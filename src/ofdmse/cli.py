@@ -105,6 +105,7 @@ class SweepConfig:
             for value in getattr(self, name):
                 if isinstance(value, bool) or not isinstance(value, numbers.Real):
                     raise TypeError(f"{name} entries must be real numbers, got {value!r}")
+            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
         if not self.systems:
             raise ValueError("systems must name at least one system")
         for name in self.systems:

@@ -16,8 +16,8 @@ sweep_total_bits gives the greedy or block bit totals of every (SNR point,
 system) pair of a few channel draws in one batched pass, for the sweep.
 There is one greedy core, _greedy_lockstep: the sweep runs it on a batch of
 grids, and greedy_allocate is the same core at batch 1.  The single-grid
-solvers and position_ber_table keep the BER table of the most recent grid,
-so consecutive calls on one grid, evaluate_avg_ber included, share it.
+solvers, evaluate_avg_ber and position_ber_table read the BER table of the
+most recent grid through one memo, so consecutive calls on one grid share it.
 
 Positions are ordered time-major, pos = l * n_f + k, and all tie-breaks are
 total orders, so every solver is deterministic.
@@ -128,10 +128,9 @@ def position_ber_table(snr: SnrGrid) -> np.ndarray:
     """Instantaneous BER of every catalog scheme at every position.
 
     Returns shape (n_schemes, n_f * n_t), time-major positions; silent rows
-    are zero.  Computing this once and passing it to the allocators lets
-    several constraint grids share one SNR draw cheaply.  The table comes
-    from the memo of the most recent grid (see _grid_table), so calls on
-    one grid compute it once; the array returned is the caller's own copy.
+    are zero.  The table comes from the memo of the most recent grid (see
+    _grid_table), so calls on one grid compute it once; the array returned
+    is the caller's own copy.
     """
     return _grid_table(_flat_gamma(snr)).copy()
 
@@ -143,12 +142,6 @@ def position_ber_table(snr: SnrGrid) -> np.ndarray:
 _memo = (None, None)
 
 
-def _cached_table(flat: np.ndarray):
-    """The memo's table if it holds these flat gammas, byte for byte, else None."""
-    key, table = _memo
-    return table if flat.tobytes() == key else None
-
-
 def _grid_table(flat: np.ndarray) -> np.ndarray:
     """_ber_table of one grid's flat gammas, read-only, through the memo.
 
@@ -157,11 +150,12 @@ def _grid_table(flat: np.ndarray) -> np.ndarray:
     whose gammas fail the check raises and leaves the memo as it was.
     """
     global _memo
-    table = _cached_table(flat)
-    if table is None:
+    key = flat.tobytes()
+    held, table = _memo
+    if held != key:
         table = _ber_table(flat)
         table.flags.writeable = False
-        _memo = (flat.tobytes(), table)
+        _memo = (key, table)
     return table
 
 
@@ -181,37 +175,28 @@ def evaluate_avg_ber(schemes, snr: SnrGrid) -> float:
     """Bit-weighted mean instantaneous BER of an assignment:
     sum(bits * ber) / sum(bits) over the non-silent positions.  Each
     position's catalog row is read through the id of its scheme object,
-    which hashes no dataclass.  When the memo holds this grid's BER table
-    (an allocator or position_ber_table ran on it last), the BERs are one
-    gather from it.  Otherwise the loaded gammas are checked together, as
-    ber checks them, so gammas at silent positions are never checked, and
-    there is one BER kernel call per loaded catalog row over its positions;
-    the memo is left as it was.  Each BER is elementwise and silent
-    positions weigh +0.0 on both routes, so neither route changes a float
-    of the sum."""
+    which hashes no dataclass, and each distinct object is checked to be a
+    ModulationScheme.  The BERs are one gather from the grid's table
+    through the memo, as the allocators read it (see _grid_table), so the
+    whole grid's gammas are checked; silent positions weigh +0.0 and change
+    no float of the sum.  Nothing loaded returns 0.0 and builds no table."""
     gamma = np.asarray(snr.gamma, dtype=float)
     n_f, n_t = gamma.shape
     if len(schemes) != n_f or any(len(row) != n_t for row in schemes):
         raise ValueError("scheme grid shape does not match the SNR grid")
     by_time = [s for column in zip(*schemes) for s in column]  # time-major
     ids = list(map(id, by_time))
-    row_of = {i: CATALOG_INDEX[s] for i, s in dict(zip(ids, by_time)).items()}
+    row_of = {}
+    for i, s in dict(zip(ids, by_time)).items():
+        if not isinstance(s, ModulationScheme):
+            raise TypeError(f"schemes entries must be ModulationScheme objects, got {s!r}")
+        row_of[i] = CATALOG_INDEX[s]
     rows = np.fromiter(map(row_of.__getitem__, ids), dtype=np.intp, count=len(ids))
     bits = CATALOG_BITS[rows]
     total_bits = int(bits.sum())
     if not total_bits:
         return 0.0
-    flat = _flat_gamma(snr)
-    table = _cached_table(flat)
-    if table is not None:
-        ber_at = table[rows, np.arange(rows.size)]
-    else:
-        at = np.flatnonzero(bits)
-        loaded, rows_at = _checked_gamma(flat[at]), rows[at]
-        ber_at = np.zeros(rows.size)
-        for row in np.unique(rows_at):
-            mine = rows_at == row
-            ber_at[at[mine]] = _ber_kernel(CATALOG[row], loaded[mine])
+    ber_at = _grid_table(_flat_gamma(snr))[rows, np.arange(rows.size)]
     return float(np.sum(bits * ber_at) / total_bits)
 
 

@@ -190,14 +190,14 @@ def _parse_family_set(token: str) -> frozenset:
     return frozenset(schemes)
 
 
-def load_profile(path, name: str | None = None) -> SystemProfile:
+def load_profile(path) -> SystemProfile:
     """Read a position -> (role, allowed families) map from a text file.
 
     The first data line is ``n_f n_t``.  Every following line reads
     ``k l role families`` where role is data/pilot/amplitude and families is a
     comma-separated list like ``ask:8,psk:16,qam:64`` selecting each family's
     column up to the given order.  '#' starts a comment.  Every position must
-    be covered exactly once.  The profile name defaults to the file stem.
+    be covered exactly once.  The profile is named after the file stem.
     """
     path = Path(path)
     n_f = n_t = 0
@@ -248,4 +248,4 @@ def load_profile(path, name: str | None = None) -> SystemProfile:
     grid = ConstraintGrid(
         tuple(tuple(row) for row in allowed), tuple(tuple(row) for row in roles)
     )
-    return SystemProfile(name if name is not None else path.stem, grid)
+    return SystemProfile(path.stem, grid)

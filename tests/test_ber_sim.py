@@ -69,8 +69,10 @@ def test_config_refuses_non_scheme_by_name(value):
 
 
 def test_config_takes_real_gammas():
+    # a kept float32 gamma would make the batch's noise scale float32
     for gamma in (10, np.float64(10.0), np.float32(10.0), np.int64(10)):
-        assert SimConfig(ModulationScheme(PSK, 2), gamma).gamma == 10
+        cfg = SimConfig(ModulationScheme(PSK, 2), gamma)
+        assert type(cfg.gamma) is float and cfg.gamma == 10
 
 
 def test_config_refuses_negative_seed_by_name():

@@ -8,6 +8,7 @@ from ofdmse.channel import (
     TUX_POWERS,
     ChannelProfile,
     ChannelRealization,
+    check_dft_fit,
     draw_realization,
     draw_taps,
     freq_response,
@@ -85,13 +86,12 @@ def test_realization_matches_explicit_construction():
     """Column l of the grid is the DFT of the l-th tap draw."""
     p = tux_profile()
     seed = 77
-    r = draw_realization(p, 12, 7, np.random.default_rng(seed), n_fft=128,
-                         first_subcarrier=5)
+    r = draw_realization(p, 12, 7, np.random.default_rng(seed), n_fft=128)
     rng = np.random.default_rng(seed)
     scale = np.sqrt(np.asarray(p.powers) / 2.0)
     taps = scale * (rng.standard_normal((7, 9)) + 1j * rng.standard_normal((7, 9)))
     for l in range(7):
-        expect = freq_response(taps[l], p.delays, 128, 5 + np.arange(12))
+        expect = freq_response(taps[l], p.delays, 128, np.arange(12))
         np.testing.assert_allclose(r.gains[:, l], expect, rtol=1e-12)
 
 
@@ -142,19 +142,20 @@ def test_draw_realization_validation():
         draw_realization(p, 12, 7, rng, n_fft=8)   # delay spread exceeds FFT
 
 
-@pytest.mark.parametrize("n_f,n_fft,first", [(12, 9, 0), (12, 128, 117), (1, 128, 128)])
-def test_realization_refuses_subcarriers_beyond_the_dft(n_f, n_fft, first):
+@pytest.mark.parametrize("n_f,n_fft", [(12, 9), (10, 9), (129, 128)])
+def test_realization_refuses_subcarriers_beyond_the_dft(n_f, n_fft):
     # bin k is bin k mod n_fft, so these grids would repeat rows
+    with pytest.raises(ValueError, match=f"^subcarriers 0 .. {n_f - 1} do not fit n_fft={n_fft}$"):
+        draw_realization(tux_profile(), n_f, 7, np.random.default_rng(0), n_fft=n_fft)
     with pytest.raises(ValueError, match=f"do not fit n_fft={n_fft}"):
-        draw_realization(tux_profile(), n_f, 7, np.random.default_rng(0), n_fft=n_fft,
-                         first_subcarrier=first)
+        check_dft_fit(tux_profile(), n_fft, n_f)
 
 
 def test_realization_fills_the_dft_exactly():
-    r = draw_realization(tux_profile(), 12, 3, np.random.default_rng(0), n_fft=16,
-                         first_subcarrier=4)
-    assert r.gains.shape == (12, 3)
+    r = draw_realization(tux_profile(), 16, 3, np.random.default_rng(0), n_fft=16)
+    assert r.gains.shape == (16, 3)
     assert draw_realization(tux_profile(), 9, 2, np.random.default_rng(0), n_fft=9).n_f == 9
+    check_dft_fit(tux_profile(), 128, 128)
 
 
 def test_snr_grid_values_and_validation():

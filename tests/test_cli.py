@@ -17,7 +17,7 @@ import pytest
 
 import ofdmse
 from ofdmse import cli
-from ofdmse.channel import ChannelRealization
+from ofdmse.channel import ChannelRealization, tux_profile
 from ofdmse.cli import (
     CSV_HEADER,
     SweepConfig,
@@ -27,6 +27,7 @@ from ofdmse.cli import (
     main,
     run_sweep,
     series_payload,
+    trial_gammas,
     write_csv,
 )
 from ofdmse.metrics import SweepPoint
@@ -108,6 +109,18 @@ class TestSweepConfig:
 
     def test_extreme_but_usable_snr_accepted(self):
         assert SweepConfig(snr_db=(-300.0, 300.0)).snr_db == (-300.0, 300.0)
+
+    def test_numpy_scalar_entries_stored_as_floats(self):
+        # a kept float32 SNR would give float32 noise variances, so other gammas
+        cfg = SweepConfig(systems=("fb",), snr_db=[np.float32(12.5), np.int64(20), 30],
+                          p_t=[np.float32(2.0 ** -10)], n_f=3, n_t=2)
+        plain = SweepConfig(systems=("fb",), snr_db=(12.5, 20.0, 30.0), p_t=(2.0 ** -10,),
+                            n_f=3, n_t=2)
+        assert cfg.snr_db == plain.snr_db and cfg.p_t == plain.p_t
+        assert all(type(v) is float for v in cfg.snr_db + cfg.p_t)
+        for trial in range(3):
+            assert (trial_gammas(cfg, tux_profile(), 0, trial).tobytes()
+                    == trial_gammas(plain, tux_profile(), 0, trial).tobytes())
 
     @pytest.mark.parametrize("field,least", [
         ("trials", 1), ("seed", 0), ("workers", 1), ("n_fft", 1), ("n_f", 1), ("n_t", 1)])

@@ -135,6 +135,13 @@ class TestEvaluateAvgBer:
         with pytest.raises(ValueError):
             evaluate_avg_ber(((BPSK,),), snr)
 
+    @pytest.mark.parametrize("entry", ["QAM16", None, 4])
+    def test_non_scheme_entry_named(self, entry):
+        # not a bare KeyError from the catalog lookup
+        snr = SnrGrid(gamma=np.ones((2, 2)))
+        with pytest.raises(TypeError, match=f"ModulationScheme objects, got {entry!r}$"):
+            evaluate_avg_ber(((BPSK, QAM16), (entry, BPSK)), snr)
+
 
 class TestAllocationType:
     def test_bit_count_consistency(self):
@@ -1323,8 +1330,13 @@ class TestBerTableMemo:
                     assert len(calls) == 1
                     assert hit == miss and hit.avg_ber.hex() == miss.avg_ber.hex()
                     loading._memo = (None, None)
-                    ev_cold = evaluate_avg_ber(miss.schemes, snr)
-                    assert loading._memo == (None, None)  # evaluate never fills it
+                    calls = []
+                    with count_ber_tables(calls):
+                        ev_cold = evaluate_avg_ber(miss.schemes, snr)
+                        # a table only when something is loaded
+                        assert len(calls) == (miss.total_bits > 0)
+                        assert allocate(snr, grid, p_t) == miss
+                    assert len(calls) == 1  # the allocator read the cold call's table
                     assert (ev_hit.hex() == ev_cold.hex()
                             == evaluate_avg_ber_one_position_at_a_time(miss.schemes, snr).hex())
 
@@ -1341,11 +1353,11 @@ class TestBerTableMemo:
                           for i, c in zip(row, crow))
                     for row, crow in zip(idx, copies))
                 loading._memo = (None, None)
-                cold = evaluate_avg_ber(schemes, snr)
                 calls = []
                 with count_ber_tables(calls):
-                    position_ber_table(snr)
+                    cold = evaluate_avg_ber(schemes, snr)
                     hit = evaluate_avg_ber(schemes, snr)
+                    position_ber_table(snr)
                 assert len(calls) == 1
                 assert (hit.hex() == cold.hex()
                         == evaluate_avg_ber_one_position_at_a_time(schemes, snr).hex())
@@ -1402,25 +1414,27 @@ class TestBerTableMemo:
             allocate(snr, grid, 1e-3, ber_table=fake)
             assert evaluate_avg_ber(expected.schemes, snr).hex() == ev.hex()
 
-    def test_evaluate_skips_unloaded_gammas_when_cold(self):
+    def test_evaluate_refuses_a_bad_gamma_at_a_silent_position(self):
         grid = build_profile("lte").grid  # its pilot positions stay silent
         snr = random_instance(np.random.default_rng(9), 12, 7, snr_db=20.0)
         schemes = greedy_allocate(snr, grid, 1e-3).schemes
+        ev = evaluate_avg_ber(schemes, snr)
         k, l = next((k, l) for k in range(12) for l in range(7) if schemes[k][l].silent)
         gamma = snr.gamma.copy()
         gamma[k, l] = np.nan
         bad = SnrGrid(gamma=gamma)
-        calls = []
-        with count_ber_tables(calls):
-            got = evaluate_avg_ber(schemes, bad)
-            with pytest.raises(ValueError, match="finite"):
-                greedy_allocate(bad, grid, 1e-3)
-            assert evaluate_avg_ber(schemes, bad).hex() == got.hex()
-            greedy_allocate(snr, grid, 1e-3)
-        # the failed table is the only one: the failure left snr's in the memo
-        assert len(calls) == 1
-        assert got.hex() == evaluate_avg_ber_one_position_at_a_time(schemes, bad).hex()
-        assert got.hex() == evaluate_avg_ber(schemes, snr).hex()
+        silent = tuple(tuple(s if s.silent else CATALOG[0] for s in row) for row in schemes)
+        for memo in ((None, None), loading._memo):
+            loading._memo = memo
+            calls = []
+            with count_ber_tables(calls):
+                # as the allocators and position_ber_table refuse it
+                with pytest.raises(ValueError, match="finite"):
+                    evaluate_avg_ber(schemes, bad)
+                assert loading._memo is memo
+                assert evaluate_avg_ber(silent, bad) == 0.0  # nothing loaded: no table
+            assert len(calls) == 1  # the failed table only
+        assert evaluate_avg_ber(schemes, snr).hex() == ev.hex()
 
 
 @settings(max_examples=25, deadline=None)
