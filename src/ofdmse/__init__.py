@@ -12,8 +12,6 @@ runner.
 from .ber_sim import SimConfig, simulate_ber
 from .channel import (
     ChannelProfile,
-    ChannelRealization,
-    SnrGrid,
     draw_realization,
     load_channel_profile,
     snr_grid,
@@ -29,13 +27,7 @@ from .loading import (
     position_ber_table,
     sweep_total_bits,
 )
-from .metrics import (
-    SweepPoint,
-    aggregate,
-    eta_r,
-    spectral_efficiency,
-    throughput_per_subcarrier,
-)
+from .metrics import SweepPoint, aggregate, eta_r, spectral_efficiency
 from .modulation import (
     CATALOG,
     ModulationFamily,
@@ -58,13 +50,11 @@ __all__ = [
     "Allocation",
     "CATALOG",
     "ChannelProfile",
-    "ChannelRealization",
     "ConstraintGrid",
     "ModulationFamily",
     "ModulationScheme",
     "Role",
     "SimConfig",
-    "SnrGrid",
     "SweepConfig",
     "SweepPoint",
     "SystemProfile",
@@ -91,7 +81,6 @@ __all__ = [
     "spectral_efficiency",
     "sweep_points",
     "sweep_total_bits",
-    "throughput_per_subcarrier",
     "trial_gammas",
     "tux_profile",
 ]

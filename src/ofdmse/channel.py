@@ -5,6 +5,10 @@ complex Gaussian taps (variance = tap power, unit total power for the default
 profile), and subcarrier k sees the DFT of the delay line at bin k.  Within a
 symbol the subcarrier gains are correlated through the shared taps; across
 symbols the draws are independent (block fading per symbol).
+
+Both grids are plain arrays indexed [k, l], subcarrier k and OFDM symbol l:
+draw_realization gives the complex gains, snr_grid the linear SNRs gamma
+that every loader takes.
 """
 
 from __future__ import annotations
@@ -71,22 +75,6 @@ def freq_response(taps: np.ndarray, delays, n_fft: int, subcarriers) -> np.ndarr
     return phases @ np.asarray(taps)
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """Per-subcarrier complex gains over a resource grid, gains[k, l]."""
-
-    gains: np.ndarray
-    n_fft: int
-
-    @property
-    def n_f(self) -> int:
-        return self.gains.shape[0]
-
-    @property
-    def n_t(self) -> int:
-        return self.gains.shape[1]
-
-
 def check_dft_fit(profile: ChannelProfile, n_fft: int, n_f: int) -> None:
     """Raise ValueError unless a DFT of n_fft bins covers the profile's delay
     spread and the grid's bins 0 .. n_f - 1 each once; bin k is bin
@@ -100,8 +88,11 @@ def check_dft_fit(profile: ChannelProfile, n_fft: int, n_f: int) -> None:
 
 
 def draw_realization(profile: ChannelProfile, n_f: int, n_t: int,
-                     rng: np.random.Generator, n_fft: int = 128) -> ChannelRealization:
+                     rng: np.random.Generator, n_fft: int = 128) -> np.ndarray:
     """Draw a block-fading grid: fresh independent taps per OFDM symbol column.
+
+    Returns the (n_f, n_t) complex gains, gains[k, l] at subcarrier k and
+    symbol l.
 
     Parameters
     ----------
@@ -117,19 +108,12 @@ def draw_realization(profile: ChannelProfile, n_f: int, n_t: int,
         raise ValueError(f"grid must be at least 1x1, got {n_f}x{n_t}")
     check_dft_fit(profile, n_fft, n_f)
     taps = draw_taps(profile, rng, (n_t,))
-    gains = freq_response(taps.T, profile.delays, n_fft, np.arange(n_f))  # (n_f, n_t)
-    return ChannelRealization(gains=gains, n_fft=n_fft)
+    return freq_response(taps.T, profile.delays, n_fft, np.arange(n_f))  # (n_f, n_t)
 
 
-@dataclass(frozen=True)
-class SnrGrid:
-    """Instantaneous per-position linear SNR, gamma[k, l] = |H_k(l)|^2 / noise_var."""
-
-    gamma: np.ndarray
-
-
-def snr_grid(realization: ChannelRealization, noise_var) -> SnrGrid:
-    """Instantaneous SNR grid for unit-energy symbols in noise of variance `noise_var`.
+def snr_grid(gains, noise_var) -> np.ndarray:
+    """Instantaneous SNR grid for unit-energy symbols in noise of variance
+    `noise_var`: gamma[k, l] = |gains[k, l]|^2 / noise_var.
 
     `noise_var` may be an array that broadcasts against the (n_f, n_t) gains,
     such as an (S, 1, 1) stack, which gives an (S, n_f, n_t) gamma: each
@@ -137,10 +121,10 @@ def snr_grid(realization: ChannelRealization, noise_var) -> SnrGrid:
     """
     if not np.all((np.asarray(noise_var) > 0.0) & np.isfinite(noise_var)):
         raise ValueError(f"noise_var must be positive and finite, got {noise_var!r}")
-    gains = np.asarray(realization.gains)
+    gains = np.asarray(gains)
     if not np.all(np.isfinite(gains)):
         raise ValueError("channel gains must be finite")
-    return SnrGrid(gamma=np.abs(gains) ** 2 / noise_var)
+    return np.abs(gains) ** 2 / noise_var
 
 
 def load_channel_profile(path) -> ChannelProfile:

@@ -171,16 +171,17 @@ DRAWS_PER_CALL = {"subcarrier": 2, "block": 8}
 
 def trial_gammas(cfg: SweepConfig, chan, pt_i: int, trial: int) -> np.ndarray:
     """Gammas of one (p_t index, trial) channel draw at every swept SNR
-    point, as a (len(snr_db), n_f, n_t) stack.
+    point, as a (len(snr_db), n_f, n_t) stack; each layer is the gamma
+    array that greedy_allocate or block_allocate takes for that point.
 
     The draw is seeded by (seed, p_t index, trial) alone, so every system
     and SNR point of a trial shares it, whichever worker or batch loads it.
     """
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, pt_i, trial)))
-    real = draw_realization(chan, cfg.n_f, cfg.n_t, rng, n_fft=cfg.n_fft)
+    gains = draw_realization(chan, cfg.n_f, cfg.n_t, rng, n_fft=cfg.n_fft)
     noise_vars = np.array([_noise_var(s) for s in cfg.snr_db])
     # every SNR point's grid at once
-    return snr_grid(real, noise_vars[:, None, None]).gamma
+    return snr_grid(gains, noise_vars[:, None, None])
 
 
 def _sweep_chunk(cfg, chan, grids, lo, hi):

@@ -1,7 +1,8 @@
 """Bit loading over a faded resource grid under an average-BER constraint.
 
-Given the per-position SNR grid and a ConstraintGrid of allowed schemes, the
-loader picks one scheme per position to maximize the block's total bits while
+Given the per-position SNR grid, the (n_f, n_t) array of linear gammas that
+channel.snr_grid gives, and a ConstraintGrid of allowed schemes, the loader
+picks one scheme per position to maximize the block's total bits while
 keeping the bit-weighted mean of instantaneous BERs at or below a target p_t.
 Silent (order-1) positions carry no bits and add nothing to the average, so
 the empty allocation is always feasible.
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import SnrGrid
 from .modulation import (
     CATALOG,
     CATALOG_BITS,
@@ -119,18 +119,27 @@ class Allocation:
             raise ValueError(f"avg_ber out of range: {self.avg_ber!r}")
 
 
-def _flat_gamma(snr: SnrGrid) -> np.ndarray:
-    # time-major flatten: entry p = l * n_f + k
-    return np.ascontiguousarray(np.asarray(snr.gamma, dtype=float).T).ravel()
+def _time_major(a: np.ndarray) -> np.ndarray:
+    """(..., n_f, n_t) -> (..., n_f * n_t), a C-order copy with entry
+    p = l * n_f + k: the position order of every solver."""
+    return np.swapaxes(a, -1, -2).reshape(a.shape[:-2] + (a.shape[-2] * a.shape[-1],))
 
 
-def position_ber_table(snr: SnrGrid) -> np.ndarray:
+def _flat_gamma(snr) -> np.ndarray:
+    """One grid's gammas, time-major; refuses any gamma that is not 2-D."""
+    gamma = np.asarray(snr, dtype=float)
+    if gamma.ndim != 2:
+        raise ValueError(f"SNR grid must be 2-D (n_f, n_t), got shape {gamma.shape}")
+    return _time_major(gamma)
+
+
+def position_ber_table(snr: np.ndarray) -> np.ndarray:
     """Instantaneous BER of every catalog scheme at every position.
 
-    Returns shape (n_schemes, n_f * n_t), time-major positions; silent rows
-    are zero.  The table comes from the memo of the most recent grid (see
-    _grid_table), so calls on one grid compute it once; the array returned
-    is the caller's own copy.
+    snr is one (n_f, n_t) gamma grid.  Returns shape (n_schemes, n_f * n_t),
+    time-major positions; silent rows are zero.  The table comes from the
+    memo of the most recent grid (see _grid_table), so calls on one grid
+    compute it once; the array returned is the caller's own copy.
     """
     return _grid_table(_flat_gamma(snr)).copy()
 
@@ -171,7 +180,7 @@ def _ber_table(gamma: np.ndarray) -> np.ndarray:
     return table
 
 
-def evaluate_avg_ber(schemes, snr: SnrGrid) -> float:
+def evaluate_avg_ber(schemes, snr: np.ndarray) -> float:
     """Bit-weighted mean instantaneous BER of an assignment:
     sum(bits * ber) / sum(bits) over the non-silent positions.  Each
     position's catalog row is read through the id of its scheme object,
@@ -180,8 +189,8 @@ def evaluate_avg_ber(schemes, snr: SnrGrid) -> float:
     through the memo, as the allocators read it (see _grid_table), so the
     whole grid's gammas are checked; silent positions weigh +0.0 and change
     no float of the sum.  Nothing loaded returns 0.0 and builds no table."""
-    gamma = np.asarray(snr.gamma, dtype=float)
-    n_f, n_t = gamma.shape
+    flat = _flat_gamma(snr)
+    n_f, n_t = np.shape(snr)
     if len(schemes) != n_f or any(len(row) != n_t for row in schemes):
         raise ValueError("scheme grid shape does not match the SNR grid")
     by_time = [s for column in zip(*schemes) for s in column]  # time-major
@@ -196,14 +205,13 @@ def evaluate_avg_ber(schemes, snr: SnrGrid) -> float:
     total_bits = int(bits.sum())
     if not total_bits:
         return 0.0
-    ber_at = _grid_table(_flat_gamma(snr))[rows, np.arange(rows.size)]
+    ber_at = _grid_table(flat)[rows, np.arange(rows.size)]
     return float(np.sum(bits * ber_at) / total_bits)
 
 
 def flat_mask(constraints: ConstraintGrid) -> np.ndarray:
     # (n_schemes, n_f, n_t) -> (n_schemes, N) in time-major position order
-    mask = constraints.allowed_mask
-    return mask.transpose(0, 2, 1).reshape(N_SCHEMES, -1)
+    return _time_major(constraints.allowed_mask)
 
 
 def _initial_silent(mask) -> np.ndarray:
@@ -222,20 +230,20 @@ def _to_allocation(idx_flat, n_f, n_t, s_sum, w_sum) -> Allocation:
     return Allocation(schemes=schemes, total_bits=int(w_sum), avg_ber=float(avg))
 
 
-def _one_grid(snr: SnrGrid, constraints: ConstraintGrid, p_t: float, ber_table):
+def _one_grid(snr, constraints: ConstraintGrid, p_t: float, ber_table):
     """Check a single-grid call; returns its flat mask and bits x BER cost.
     Without a ber_table the grid's table comes through the memo; a passed
     table is checked and never enters it."""
-    gamma = np.asarray(snr.gamma, dtype=float)
-    if gamma.shape != (constraints.n_f, constraints.n_t):
+    flat, shape = _flat_gamma(snr), np.shape(snr)
+    if shape != (constraints.n_f, constraints.n_t):
         raise ValueError(
-            f"SNR grid {gamma.shape} does not match constraints "
+            f"SNR grid {shape} does not match constraints "
             f"({constraints.n_f}, {constraints.n_t})"
         )
     if not 0.0 < p_t < 0.5:
         raise ValueError(f"p_t must lie in (0, 0.5), got {p_t!r}")
     if ber_table is None:
-        ber_table = _grid_table(_flat_gamma(snr))
+        ber_table = _grid_table(flat)
     else:
         # a broadcastable table of the wrong shape would load every position
         ber_table = np.asarray(ber_table, dtype=float)
@@ -248,7 +256,7 @@ def _one_grid(snr: SnrGrid, constraints: ConstraintGrid, p_t: float, ber_table):
 
 
 def greedy_allocate(
-    snr: SnrGrid,
+    snr: np.ndarray,
     constraints: ConstraintGrid,
     p_t: float,
     ber_table: np.ndarray | None = None,
@@ -498,7 +506,8 @@ def _commit(cur_bits, cur_cost, by_gain, bg, g, commit, n_set, s_sum, w_sum, p_t
 def sweep_total_bits(grids, gammas, p_t, granularity: str) -> np.ndarray:
     """Bit totals of every (SNR grid, constraint grid) pair.
 
-    gammas is an (S, n_f, n_t) stack of S >= 1 SNR grids' gamma arrays, and
+    gammas is an (S, n_f, n_t) stack of S >= 1 SNR grids, each the
+    (n_f, n_t) gamma array the single-grid solvers take, and
     p_t one target for all of them or a sequence of S targets, one per SNR
     grid.  Returns int64 (S, len(grids)): the total_bits greedy_allocate
     ("subcarrier" granularity) or block_allocate ("block") would give for
@@ -543,8 +552,7 @@ def sweep_total_bits(grids, gammas, p_t, granularity: str) -> np.ndarray:
     if outside.size:
         raise ValueError(f"p_t must lie in (0, 0.5), got {float(outside[0])!r}")
     masks = np.stack([flat_mask(g) for g in grids])
-    # a C-order copy of each grid flattened time-major, as _flat_gamma
-    flat = gammas.transpose(0, 2, 1).reshape(len(gammas), -1)
+    flat = _time_major(gammas)
     if granularity != "subcarrier":
         return _block_totals(masks, flat, p_t)
     totals = np.empty((len(flat), len(masks)), dtype=np.int64)
@@ -557,7 +565,7 @@ def sweep_total_bits(grids, gammas, p_t, granularity: str) -> np.ndarray:
 
 
 def exhaustive_allocate(
-    snr: SnrGrid,
+    snr: np.ndarray,
     constraints: ConstraintGrid,
     p_t: float,
     ber_table: np.ndarray | None = None,
@@ -805,7 +813,7 @@ def _block_totals(masks, gamma, p_t):
 
 
 def block_allocate(
-    snr: SnrGrid,
+    snr: np.ndarray,
     constraints: ConstraintGrid,
     p_t: float,
     ber_table: np.ndarray | None = None,

@@ -1,4 +1,4 @@
-"""Spectral-efficiency and throughput metrics plus Monte Carlo aggregation.
+"""Spectral-efficiency metrics plus Monte Carlo aggregation.
 
 The headline quantity is the relative spectral efficiency: the ratio of total
 information bits two systems carry over the same ensemble of channel draws.
@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .loading import Allocation
 
 
 def spectral_efficiency(n_total: int, n_pilots: int) -> float:
@@ -36,12 +34,6 @@ def eta_r(bits_system, bits_reference) -> float:
     if bits_system < 0:
         raise ValueError(f"negative bit total {bits_system!r}")
     return bits_system / bits_reference
-
-
-def throughput_per_subcarrier(alloc: Allocation) -> float:
-    """Allocated bits averaged over all grid positions."""
-    n_positions = sum(len(row) for row in alloc.schemes)
-    return alloc.total_bits / n_positions
 
 
 def aggregate(values):

@@ -85,8 +85,8 @@ def test_closed_form_efficiency_ratios():
 
 def test_channel_mean_power_is_unity():
     rng = np.random.default_rng(20260823)
-    real = draw_realization(tux_profile(), 12, 100_000, rng)
-    power = np.abs(real.gains) ** 2
+    gains = draw_realization(tux_profile(), 12, 100_000, rng)
+    power = np.abs(gains) ** 2
     per_subcarrier = power.mean(axis=1)
     dev = float(np.max(np.abs(per_subcarrier - 1.0)))
     _report(

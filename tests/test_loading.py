@@ -3,6 +3,7 @@ block mode, the batched sweep loader, instance serialization."""
 
 import json
 import math
+import re
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from ofdmse import loading
-from ofdmse.channel import SnrGrid, draw_realization, snr_grid, tux_profile
+from ofdmse.channel import draw_realization, snr_grid, tux_profile
 from ofdmse.cli import DRAWS_PER_CALL, SweepConfig, trial_gammas
 from ofdmse.loading import (
     Allocation,
@@ -75,11 +76,11 @@ def data_grid(sets):
     return ConstraintGrid(allowed, roles)
 
 
-def save_instance(path, snr: SnrGrid, constraints: ConstraintGrid, p_t: float):
+def save_instance(path, snr: np.ndarray, constraints: ConstraintGrid, p_t: float):
     """Serialize an allocation problem instance for regression fixtures."""
     payload = {
         "p_t": p_t,
-        "gamma": np.asarray(snr.gamma, dtype=float).tolist(),
+        "gamma": np.asarray(snr, dtype=float).tolist(),
         "roles": [[r.value for r in row] for row in constraints.roles],
         "allowed": [
             [sorted(str(s) for s in schemes) for schemes in row]
@@ -90,9 +91,9 @@ def save_instance(path, snr: SnrGrid, constraints: ConstraintGrid, p_t: float):
 
 
 def load_instance(path):
-    """Inverse of save_instance: returns (SnrGrid, ConstraintGrid, p_t)."""
+    """Inverse of save_instance: returns (gamma array, ConstraintGrid, p_t)."""
     payload = json.loads(Path(path).read_text())
-    snr = SnrGrid(gamma=np.asarray(payload["gamma"], dtype=float))
+    snr = np.asarray(payload["gamma"], dtype=float)
     allowed = tuple(
         tuple(frozenset(scheme_from_name(n) for n in names) for names in row)
         for row in payload["allowed"]
@@ -110,35 +111,35 @@ def random_instance(rng, n_f=2, n_t=2, snr_db=12.0):
 
 class TestEvaluateAvgBer:
     def test_all_silent_is_zero(self):
-        snr = SnrGrid(gamma=np.ones((2, 3)))
+        snr = np.ones((2, 3))
         assert evaluate_avg_ber(grid_of(["PSK1"] * 6, 2, 3), snr) == 0.0
 
     def test_single_bpsk(self):
-        snr = SnrGrid(gamma=np.array([[1.0]]))
+        snr = np.array([[1.0]])
         got = evaluate_avg_ber(((BPSK,),), snr)
         assert abs(got - Q_SQRT2) < 1e-14
 
     def test_equal_weight_mean(self):
-        snr = SnrGrid(gamma=np.array([[1.0], [2.5]]))
+        snr = np.array([[1.0], [2.5]])
         p1, p2 = ber(BPSK, 1.0), ber(BPSK, 2.5)
         got = evaluate_avg_ber(((BPSK,), (BPSK,)), snr)
         assert abs(got - (p1 + p2) / 2) < 1e-15
 
     def test_bit_weighted_mean(self):
-        snr = SnrGrid(gamma=np.array([[1.0], [40.0]]))
+        snr = np.array([[1.0], [40.0]])
         p1, p2 = ber(BPSK, 1.0), ber(QAM16, 40.0)
         got = evaluate_avg_ber(((BPSK,), (QAM16,)), snr)
         assert abs(got - (p1 + 4 * p2) / 5) < 1e-15
 
     def test_shape_mismatch(self):
-        snr = SnrGrid(gamma=np.ones((2, 2)))
+        snr = np.ones((2, 2))
         with pytest.raises(ValueError):
             evaluate_avg_ber(((BPSK,),), snr)
 
     @pytest.mark.parametrize("entry", ["QAM16", None, 4])
     def test_non_scheme_entry_named(self, entry):
         # not a bare KeyError from the catalog lookup
-        snr = SnrGrid(gamma=np.ones((2, 2)))
+        snr = np.ones((2, 2))
         with pytest.raises(TypeError, match=f"ModulationScheme objects, got {entry!r}$"):
             evaluate_avg_ber(((BPSK, QAM16), (entry, BPSK)), snr)
 
@@ -156,14 +157,14 @@ class TestAllocationType:
 class TestGreedy:
     def test_saturates_at_high_snr(self):
         prof = build_profile("fb", 3, 2)
-        snr = SnrGrid(gamma=np.full((3, 2), 1e6))
+        snr = np.full((3, 2), 1e6)
         a = greedy_allocate(snr, prof.grid, 1e-3)
         assert a.total_bits == 36
         assert all(str(s) == "QAM64" for row in a.schemes for s in row)
 
     def test_all_silent_at_zero_snr(self):
         prof = build_profile("fb", 3, 2)
-        snr = SnrGrid(gamma=np.zeros((3, 2)))
+        snr = np.zeros((3, 2))
         a = greedy_allocate(snr, prof.grid, 1e-3)
         assert a.total_bits == 0 and a.avg_ber == 0.0
         # canonical order-1 fallback is the lowest family allowed
@@ -172,16 +173,16 @@ class TestGreedy:
     def test_single_position_threshold(self):
         need = min_snr_for(BPSK, 1e-3)
         grid = data_grid([[{BPSK}]])
-        a = greedy_allocate(SnrGrid(gamma=np.array([[need * 1.01]])), grid, 1e-3)
+        a = greedy_allocate(np.array([[need * 1.01]]), grid, 1e-3)
         assert a.total_bits == 1
-        a = greedy_allocate(SnrGrid(gamma=np.array([[need * 0.99]])), grid, 1e-3)
+        a = greedy_allocate(np.array([[need * 0.99]]), grid, 1e-3)
         assert a.total_bits == 0
 
     def test_family_tiebreak_prefers_psk_over_qam(self):
         # PSK4 and QAM4 cost exactly the same; the lower family must win
         qpsk, qam4 = scheme_from_name("PSK4"), scheme_from_name("QAM4")
         grid = data_grid([[{qpsk, qam4}]])
-        snr = SnrGrid(gamma=np.array([[100.0]]))
+        snr = np.array([[100.0]])
         a = greedy_allocate(snr, grid, 1e-3)
         assert a.schemes[0][0] == qpsk
         x = exhaustive_allocate(snr, grid, 1e-3)
@@ -227,25 +228,25 @@ class TestGreedy:
 
     def test_input_validation(self):
         prof = build_profile("fb", 2, 2)
-        snr = SnrGrid(gamma=np.ones((2, 2)))
+        snr = np.ones((2, 2))
         with pytest.raises(ValueError):
             greedy_allocate(snr, prof.grid, 0.0)
         with pytest.raises(ValueError):
             greedy_allocate(snr, prof.grid, 0.5)
         with pytest.raises(ValueError):
-            greedy_allocate(SnrGrid(gamma=np.ones((2, 3))), prof.grid, 1e-3)
+            greedy_allocate(np.ones((2, 3)), prof.grid, 1e-3)
 
 
 class TestExhaustiveOracle:
     def test_single_position(self):
         grid = data_grid([[{BPSK}]])
-        snr = SnrGrid(gamma=np.array([[50.0]]))
+        snr = np.array([[50.0]])
         x = exhaustive_allocate(snr, grid, 1e-3)
         assert x.total_bits == 1 and x.schemes[0][0] == BPSK
 
     def test_refuses_large_search_space(self):
         prof = build_profile("fb")  # 13^84 assignments
-        snr = SnrGrid(gamma=np.ones((12, 7)))
+        snr = np.ones((12, 7))
         with pytest.raises(ValueError, match="search space"):
             exhaustive_allocate(snr, prof.grid, 1e-3)
         # just above the bound: refused before any assignment is enumerated
@@ -253,7 +254,7 @@ class TestExhaustiveOracle:
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="search space"):
-                exhaustive_allocate(SnrGrid(gamma=np.ones((1, 7))), grid, 1e-3)
+                exhaustive_allocate(np.ones((1, 7)), grid, 1e-3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -384,7 +385,7 @@ def oracle_problems(draw):
     allowed = tuple(tuple(frozenset(CATALOG[i] for i in sets[l * n_f + k]) for l in range(n_t))
                     for k in range(n_f))
     grid = ConstraintGrid(allowed, tuple(tuple(Role.DATA for _ in range(n_t)) for _ in range(n_f)))
-    return SnrGrid(gamma=gamma.reshape(n_t, n_f).T), grid, p_t
+    return gamma.reshape(n_t, n_f).T, grid, p_t
 
 
 class TestExhaustiveMatchesReference:
@@ -413,7 +414,7 @@ class TestExhaustiveMatchesReference:
     def test_ties_go_to_the_first_assignment(self, merge):
         # every BER is 0.0 at 1e300, so the 16 all-4-bit assignments tie
         grid = data_grid([[{scheme_from_name("PSK16"), QAM16}] * 2] * 2)
-        snr = SnrGrid(gamma=np.full((2, 2), 1e300))
+        snr = np.full((2, 2), 1e300)
         with mock.patch.object(loading, "_MERGE", merge):
             x = assert_oracle_matches_reference(snr, grid, 1e-3)
         assert x.total_bits == 16 and x.avg_ber == 0.0
@@ -469,7 +470,7 @@ class TestBerTableValidation:
 class TestBlockMode:
     def test_uniform_scheme_at_high_snr(self):
         lte = build_profile("lte")
-        snr = SnrGrid(gamma=np.full((12, 7), 1e6))
+        snr = np.full((12, 7), 1e6)
         a = block_allocate(snr, lte.grid, 1e-3)
         assert a.total_bits == 480  # 64-QAM on the 80 non-pilot positions
         assert str(a.schemes[1][0]) == "QAM64"
@@ -477,7 +478,7 @@ class TestBlockMode:
 
     def test_silent_when_infeasible(self):
         prof = build_profile("cm", 2, 2)
-        a = block_allocate(SnrGrid(gamma=np.zeros((2, 2))), prof.grid, 1e-3)
+        a = block_allocate(np.zeros((2, 2)), prof.grid, 1e-3)
         assert a.total_bits == 0
 
     def test_feasible_and_consistent(self):
@@ -772,10 +773,22 @@ class TestLockstep:
         snrs = [snr_grid(real, 10 ** (-db / 10)) for db in (0.0, 12.0, 24.0, 40.0)]
         grids = [build_profile(n).grid for n in ("fb", "cm", "lte", "mlte")]
         for p_t in (1e-3, 1e-2):
-            totals = sweep_total_bits(grids, np.stack([s.gamma for s in snrs]), p_t, granularity)
+            totals = sweep_total_bits(grids, np.stack(snrs), p_t, granularity)
             assert totals.shape == (len(snrs), len(grids))
             expected = [[allocate(snr, g, p_t).total_bits for g in grids] for snr in snrs]
             np.testing.assert_array_equal(totals, expected)
+
+    @pytest.mark.parametrize("granularity,allocate", [
+        ("subcarrier", greedy_allocate), ("block", block_allocate)])
+    def test_trial_gammas_layers_are_single_grid_inputs(self, granularity, allocate):
+        # each layer of a trial's stack goes to the single-grid solver as it is
+        cfg = SweepConfig(p_t=(1e-2,))
+        gammas = trial_gammas(cfg, tux_profile(), 0, 3)
+        grids = [build_profile(n).grid for n in cfg.systems]
+        totals = sweep_total_bits(grids, gammas, 1e-2, granularity)
+        assert len(totals) == len(cfg.snr_db)
+        for layer, row in zip(gammas, totals):
+            assert [allocate(layer, g, 1e-2).total_bits for g in grids] == row.tolist()
 
 
 class TestSweepRefusals:
@@ -1225,7 +1238,7 @@ class TestInstanceRoundTrip:
         path = tmp_path / "instance.json"
         save_instance(path, snr, prof.grid, 1e-3)
         snr2, grid2, p_t2 = load_instance(path)
-        np.testing.assert_array_equal(snr.gamma, snr2.gamma)
+        np.testing.assert_array_equal(snr, snr2)
         assert grid2 == prof.grid
         assert p_t2 == 1e-3
         a = greedy_allocate(snr, prof.grid, 1e-3)
@@ -1257,7 +1270,7 @@ class TestInstanceFixtures:
 def evaluate_avg_ber_one_position_at_a_time(schemes, snr):
     """evaluate_avg_ber before it grouped positions by scheme: one scalar
     ber call per position."""
-    gamma = np.asarray(snr.gamma, dtype=float)
+    gamma = np.asarray(snr, dtype=float)
     n_f, n_t = gamma.shape
     weighted = np.zeros(n_f * n_t)
     total_bits = 0
@@ -1362,19 +1375,18 @@ class TestBerTableMemo:
                 assert (hit.hex() == cold.hex()
                         == evaluate_avg_ber_one_position_at_a_time(schemes, snr).hex())
         silent = ((CATALOG[0], ModulationScheme(CATALOG[0].family, 1)),)
-        position_ber_table(SnrGrid(gamma=np.ones((1, 2))))
-        assert evaluate_avg_ber(silent, SnrGrid(gamma=np.ones((1, 2)))) == 0.0
+        position_ber_table(np.ones((1, 2)))
+        assert evaluate_avg_ber(silent, np.ones((1, 2))) == 0.0
 
     @pytest.mark.parametrize("change", ["one_ulp", "negative_zero"])
     def test_different_bytes_never_share_a_table(self, change):
-        gamma = random_instance(np.random.default_rng(4), 12, 7).gamma
+        a = random_instance(np.random.default_rng(4), 12, 7)
         if change == "one_ulp":
-            other = gamma.copy()
-            other[3, 2] = np.nextafter(other[3, 2], np.inf)
+            b = a.copy()
+            b[3, 2] = np.nextafter(b[3, 2], np.inf)
         else:
-            gamma[3, 2], other = 0.0, gamma.copy()
-            other[3, 2] = -0.0
-        a, b = SnrGrid(gamma=gamma), SnrGrid(gamma=other)
+            a[3, 2], b = 0.0, a.copy()
+            b[3, 2] = -0.0
         calls = []
         with count_ber_tables(calls):
             table_a = position_ber_table(a)
@@ -1414,15 +1426,31 @@ class TestBerTableMemo:
             allocate(snr, grid, 1e-3, ber_table=fake)
             assert evaluate_avg_ber(expected.schemes, snr).hex() == ev.hex()
 
+    @pytest.mark.parametrize("shape", [(), (4,), (2, 2, 3)])
+    def test_gamma_that_is_not_2d_is_refused_before_the_memo(self, shape):
+        snr = random_instance(np.random.default_rng(10))
+        grid = build_profile("fb", 2, 2).grid
+        position_ber_table(snr)
+        memo = loading._memo
+        bad = np.ones(shape)
+        calls = [lambda: position_ber_table(bad),
+                 lambda: evaluate_avg_ber(grid_of(["QAM4"] * 4, 2, 2), bad)]
+        calls += [lambda f=f: f(bad, grid, 1e-3)
+                  for f in (greedy_allocate, block_allocate, exhaustive_allocate)]
+        for call in calls:
+            with pytest.raises(ValueError, match=fr"^SNR grid must be 2-D \(n_f, n_t\), "
+                                                 fr"got shape {re.escape(str(shape))}$"):
+                call()
+            assert loading._memo is memo
+
     def test_evaluate_refuses_a_bad_gamma_at_a_silent_position(self):
         grid = build_profile("lte").grid  # its pilot positions stay silent
         snr = random_instance(np.random.default_rng(9), 12, 7, snr_db=20.0)
         schemes = greedy_allocate(snr, grid, 1e-3).schemes
         ev = evaluate_avg_ber(schemes, snr)
         k, l = next((k, l) for k in range(12) for l in range(7) if schemes[k][l].silent)
-        gamma = snr.gamma.copy()
-        gamma[k, l] = np.nan
-        bad = SnrGrid(gamma=gamma)
+        bad = snr.copy()
+        bad[k, l] = np.nan
         silent = tuple(tuple(s if s.silent else CATALOG[0] for s in row) for row in schemes)
         for memo in ((None, None), loading._memo):
             loading._memo = memo
@@ -1445,7 +1473,7 @@ class TestBerTableMemo:
     p_t=st.sampled_from([1e-2, 1e-3, 1e-4]),
 )
 def test_greedy_feasible_and_dominated(gammas, p_t):
-    snr = SnrGrid(gamma=np.array(gammas).reshape(2, 2))
+    snr = np.array(gammas).reshape(2, 2)
     grid = build_profile("fb", 2, 2).grid
     g = greedy_allocate(snr, grid, p_t)
     assert g.avg_ber <= p_t

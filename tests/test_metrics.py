@@ -4,13 +4,7 @@ import numpy as np
 import pytest
 
 from ofdmse.loading import Allocation
-from ofdmse.metrics import (
-    SweepPoint,
-    aggregate,
-    eta_r,
-    spectral_efficiency,
-    throughput_per_subcarrier,
-)
+from ofdmse.metrics import SweepPoint, aggregate, eta_r, spectral_efficiency
 from ofdmse.modulation import scheme_from_name
 
 
@@ -48,23 +42,6 @@ def test_eta_r_errors():
         eta_r(100, 0)
     with pytest.raises(ValueError):
         eta_r(-1, 100)
-
-
-def test_throughput_per_subcarrier():
-    assert throughput_per_subcarrier(uniform_alloc("QAM64", 12, 7)) == 6.0
-    assert throughput_per_subcarrier(uniform_alloc("PSK1", 12, 7)) == 0.0
-    lte_like = Allocation(
-        tuple(
-            tuple(
-                scheme_from_name("PSK1" if (k, l) in {(0, 0), (6, 0), (3, 4), (9, 4)} else "QAM64")
-                for l in range(7)
-            )
-            for k in range(12)
-        ),
-        total_bits=480,
-        avg_ber=0.0,
-    )
-    assert throughput_per_subcarrier(lte_like) == pytest.approx(480 / 84)
 
 
 def test_aggregate():

@@ -20,7 +20,6 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import erfc, owens_t
 
 from ofdmse import loading, modulation
-from ofdmse.channel import SnrGrid
 from ofdmse.cli import N_VALIDATION_POINTS, VALIDATION_SPAN
 from ofdmse.loading import _ber_table, position_ber_table
 from ofdmse.modulation import (
@@ -229,7 +228,7 @@ def test_ber_table_matches_per_term_reference():
     for n_f, n_t in [(2, 2), (12, 7), (21, 84)]:
         gamma = shaped_gammas((n_f * n_t,)).reshape(n_f, n_t)
         flat = np.ascontiguousarray(gamma.T).ravel()
-        assert position_ber_table(SnrGrid(gamma=gamma)).tobytes() == (
+        assert position_ber_table(gamma).tobytes() == (
             reference_table(flat).tobytes())
     with pytest.raises(ValueError, match="finite"):
         _ber_table(np.array([[1.0, np.inf]]))
@@ -263,7 +262,7 @@ def test_golden_ber_pin():
     g = g.reshape(21, 84)
     digests = {
         "stack": hashlib.sha256(_ber_table(g).tobytes()).hexdigest(),
-        "grid": hashlib.sha256(position_ber_table(SnrGrid(gamma=g)).tobytes()).hexdigest(),
+        "grid": hashlib.sha256(position_ber_table(g).tobytes()).hexdigest(),
     }
     assert digests == GOLDEN_TABLE_SHA256
     got = {str(s): (min_snr_for(s, 1e-3).hex(), min_snr_for(s, 1e-2).hex())
