@@ -16,7 +16,12 @@ Three solvers are provided:
 sweep_total_bits gives the greedy or block bit totals of every (SNR point,
 system) pair of a few channel draws in one batched pass, for the sweep.
 There is one greedy core, _greedy_lockstep: the sweep runs it on a batch of
-grids, and greedy_allocate is the same core at batch 1.  The single-grid
+grids, and greedy_allocate is the same core at batch 1.  Before it, two
+certificates decide the sweep's pairs at W = 0 and at saturation without
+the BER table (_certified_totals), so an SNR grid whose pairs are all
+decided gets no table row and no core run.  The block sweep's filler
+(_block_totals) and the saturation certificate bound sums of costs with
+one screen (_screen) from each grid's lowest gammas.  The single-grid
 solvers, evaluate_avg_ber and position_ber_table read the BER table of the
 most recent grid through one memo, so consecutive calls on one grid share it.
 
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -90,10 +96,13 @@ _BITS_DESCENDING = sorted((i for i, s in enumerate(CATALOG) if not s.silent),
 #: (see _block_totals).
 _STAGES = (4, 16)
 
-#: The block screen's upper bound puts each unscreened position at the least
-#: screened BER plus this (see _block_totals): twice the rise above a lower
+#: The screen's upper bound puts each unscreened position at the least
+#: screened BER plus this (see _screen): twice the rise above a lower
 #: gamma's BER that the computed kernel is tested to stay within.
 _SLACK = 1e-15
+
+#: The saturation certificate's screen stages (see _certified_totals).
+_SATURATION_STAGES = (4, 16, 32)
 
 
 @dataclass(frozen=True)
@@ -503,6 +512,197 @@ def _commit(cur_bits, cur_cost, by_gain, bg, g, commit, n_set, s_sum, w_sum, p_t
     return new_cost, s_full, w_full
 
 
+@lru_cache(maxsize=16)
+def _extremes_plan(key: bytes, n: int):
+    """What the certificates of _certified_totals need of the constraint
+    grids, from the bytes of their stacked (grids, n_schemes, N) flat
+    masks.  It depends on the grids alone, so a sweep's calls share it.
+
+    A position's top level is the most bits it allows.  Each grid has one
+    column per top level b of its positions, the most bits first, and the
+    column is the group end of b: every position whose top level is at
+    least b.  A position's designated top row is the last catalog row it
+    allows at its top level.  Returns read-only arrays (uses, top_rows,
+    bits, weights, count, w_col, col_grid, one_hot, saturation):
+      uses (grids, n_schemes): the non-silent schemes each grid allows;
+      top_rows (R,): the designated top rows, with their bits (R, 1);
+      weights (N, R, cols): 1.0 where a position of the column has that
+        designated row, and count (R, cols) its sum over the positions;
+      w_col (cols,): each column's bit total, the group end's W;
+      col_grid (cols,): the grid of each column, and one_hot (cols, grids);
+      saturation (grids,): each grid's total with every position at its top.
+    """
+    masks = np.frombuffer(key, dtype=bool).reshape(-1, N_SCHEMES, n)
+    top = np.where(masks, CATALOG_BITS[:, None], 0).max(axis=1)
+    at_top = masks & (CATALOG_BITS[:, None] == top[:, None, :])
+    designated = N_SCHEMES - 1 - at_top[:, ::-1].argmax(axis=1)
+    cols = [(j, b) for j, t in enumerate(top) for b in sorted(set(t[t > 0].tolist()), reverse=True)]
+    col_grid = np.array([j for j, _b in cols], dtype=np.intp)
+    member = np.array([top[j] >= b for j, b in cols], dtype=bool).reshape(len(cols), n)
+    row_of = np.where(member, designated[col_grid], -1)
+    top_rows = np.unique(row_of[row_of >= 0])
+    weights = (row_of.T[:, None, :] == top_rows[:, None]).astype(float)
+    plan = ((masks & (CATALOG_BITS[:, None] > 0)).any(axis=2), top_rows,
+            CATALOG_BITS[top_rows][:, None], weights, weights.sum(axis=0),
+            np.where(member, top[col_grid], 0).sum(axis=1).astype(float), col_grid,
+            col_grid[:, None] == np.arange(len(masks)), top.sum(axis=1))
+    for a in plan:
+        a.flags.writeable = False
+    return plan
+
+
+@lru_cache(maxsize=64)
+def _target_limits(key: bytes, n: int, p_t: float):
+    """The certificates' gamma limits at one target, for _extremes_plan(key,
+    n): (zero, alone), read-only.  zero (n_schemes,) is each catalog row's
+    _gamma_limit at p_t; alone (R, cols) is each designated top row's
+    _gamma_limit at p_t w / bits, below which one position's cost alone
+    exceeds p_t times the column's bit total w, and -1.0 where the column
+    does not use the row."""
+    _uses, top_rows, bits, _weights, count, w_col, *_rest = _extremes_plan(key, n)
+    zero = np.array([_gamma_limit(i, p_t) for i in range(N_SCHEMES)])
+    alone = np.array([[_gamma_limit(i, p_t * w / b) if c else -1.0 for w, c in zip(w_col, used)]
+                      for i, b, used in zip(top_rows, bits[:, 0], count)])
+    alone = alone.reshape(count.shape)
+    zero.flags.writeable = alone.flags.writeable = False
+    return zero, alone
+
+
+def _gamma_limit(i: int, q: float) -> float:
+    """A gamma at and below which catalog row i's computed BER exceeds q.
+
+    The largest gamma found on a geometric search at which
+    fl(fl(BER - _SLACK) (1 - 8 u)) > q, u = 2^-53, or -1.0 where no gamma
+    tried qualifies, as for a silent row: powers of two from 2^-60 to 2^60,
+    then 64 steps between the last qualifying gamma and the next, twice;
+    three kernel calls.  By the kernel property of _screen, the BER at any
+    lower gamma is at least the BER there less _SLACK / 2, which is above
+    q (1 + 5 u) (1 - u)^-2.
+    """
+    s = CATALOG[i]
+    if s.silent:
+        return -1.0
+    grid = 2.0 ** np.arange(-60.0, 61.0)
+    for step in range(3):
+        ok = np.flatnonzero((_ber_kernel(s, grid) - _SLACK) * (1.0 - 8 * 2.0 ** -53) > q)
+        if not ok.size:
+            return -1.0
+        j = ok[-1]
+        if step == 2 or j == grid.size - 1:
+            return float(grid[j])
+        grid = np.geomspace(grid[j], grid[j + 1], 65)
+
+
+def _certified_totals(masks, gamma, p_t):
+    """W of each (SNR grid, constraint grid) pair that a certificate
+    decides, and -1 where neither does.
+
+    masks is (grids, n_schemes, N), gamma (rows, N) checked flat gammas and
+    p_t (rows,) one target per row.  A decided W is the one _greedy_lockstep
+    gives on the full bits x BER table, and so the serial loop's (see
+    _greedy_lockstep), found without that table.  What depends on the grids
+    alone comes from _extremes_plan, and on the grids and a target from
+    _target_limits, each computed once.  Both certificates are sufficient
+    only: a pair that neither decides goes to the table and the lockstep.
+    u = 2^-53.
+
+    Zero.  From the all-silent state the loop's first screen compares
+    (0 + c) - 0 = c over g with p_t, for each allowed entry of cost
+    c = fl(g x BER), and fl(c / g) >= BER (1 - u)^2.  W = 0 when no such
+    move is feasible.  A scheme's _gamma_limit t at p_t has every BER at a
+    gamma at most t above p_t (1 + 5 u) (1 - u)^-2, so a grid whose largest
+    gamma is at most t for every non-silent scheme it allows gets W = 0.
+
+    Saturation.  Take the jumps from silent to each position's cheapest top
+    scheme, the group of the most bits first and each group in ascending
+    cost.  While group b is under way, every position of a higher group is
+    at its top and has no move, and every position of a lower group gains
+    fewer than b bits, so the greatest gain is b and its least numerator is
+    the cheapest jump left in the group.  So while that jump passes the
+    screen and the guard, the loop commits it, or on a tie of the rounded
+    average another jump of the group, and after the last group W is the
+    saturation total.  Let A_j be the exact average after the first j jumps
+    of the sequence.  Within a group, A_(j+1) >= A_j iff the next cost over
+    b is at least A_j, and then A_(j+1) lies between A_j and that cost over
+    b, which the cost after it over b exceeds: the average never rises and
+    then falls, so no A_j exceeds both ends of its group, and the plan's
+    columns hold the group ends.  A tie commits a jump c' >= c, the
+    cheapest left, with fl(fl(S + c') / W) = fl(fl(S + c) / W), so
+    c' - c <= 4.01 u (S + c) <= 4.02 u p_t W; the cheapest jump left is at
+    most the sequence's next one, so over at most N jumps the committed sum
+    exceeds the sequence's by at most 4.02 N u p_t W.  The screen
+    fl(fl(S + c) - 0) / W and the guard fl(S') / W, S and S' sums of N
+    costs, exceed the exact average by a factor at most 1 + (N + 1) u.
+
+    The bound: a column's upper sum is the sum over the designated top rows
+    of _screen's high, each at least (1 - gamma_(k+2)) times its exact
+    part, where a designated row's cost is at least the cheapest top
+    scheme's.  Its R <= 10 parts add R - 1 roundings, and the test
+    fl(fl(high (1 + margin)) / w) <= p_t two more, so the test passes only
+    when the exact group end average is at most
+    p_t (1 + (k + R + 4) u) / (1 + margin), up to terms of order
+    ((N + k) u)^2.  margin = 8 (N + k + 4) u covers that, the tie term
+    4.02 N u and the loop's (N + 1) u: 8 (N + k + 4) >= 5.02 N + k + 15,
+    with room for the second-order terms.
+
+    The screen runs in the stages of _SATURATION_STAGES below N, each
+    designated row at the SNR grids where a column that uses it is open.
+    A pair that no stage settles is left to the lockstep.  An SNR grid
+    leaves the screen once one of its pairs is ruled out, because it then
+    goes to the table whatever its other pairs give: by a first-stage
+    position below its alone limit, or by a lower sum that, times
+    1 - margin, exceeds p_t w.  A ruling decides nothing, so the
+    certificates' reach is measured one constraint grid at a time.
+    """
+    key, (rows, n) = masks.tobytes(), gamma.shape
+    uses, top_rows, bits, weights, count, w_col, col_grid, one_hot, saturation = \
+        _extremes_plan(key, n)
+    targets, which = np.unique(p_t, return_inverse=True)
+    zero_at, alone = (np.stack(a) for a in zip(*(_target_limits(key, n, t) for t in targets)))
+    zero = ~((gamma.max(axis=1)[:, None] > zero_at[which]) @ uses.T)
+    fits = np.zeros((rows, len(w_col)), dtype=bool)
+    live = np.flatnonzero(~zero[:, col_grid].all(axis=1))
+    stages = [k for k in _SATURATION_STAGES if k < n]
+    if stages and live.size:
+        # one partition, as in _block_totals, of the rows with an open column
+        low_gamma = gamma[live]
+        low_at = np.argpartition(low_gamma, [k - 1 for k in stages], axis=1)[:, : stages[-1]]
+        low_gamma = np.take_along_axis(low_gamma, low_at, axis=1)
+        p_live = p_t[live, None]
+        first = stages[0]
+        over = ((low_gamma[:, :first, None, None] < alone[which[live], None])
+                * weights[low_at[:, :first]]).any(axis=(1, 2))
+        open_ = ~zero[live][:, col_grid] & ~over.any(axis=1, keepdims=True)
+        screened, least, done = 0.0, np.inf, 0
+        for k in stages:
+            keep = open_.any(axis=1)
+            if not keep.all():
+                live, low_at, low_gamma, open_, p_live = (
+                    a[keep] for a in (live, low_at, low_gamma, open_, p_live))
+                if done:
+                    screened, least = screened[keep], least[keep]
+                if not live.size:
+                    break
+            # a designated row's BERs where a column that uses it is open; the
+            # zeros left elsewhere weigh only in columns already closed
+            need = open_ @ (count > 0).T
+            ber = np.zeros((live.size, len(top_rows), k - done))
+            for r, i in enumerate(top_rows):
+                if need[:, r].any():
+                    ber[need[:, r], r] = _ber_kernel(CATALOG[i], low_gamma[need[:, r], done:k])
+            screened, least, high = _screen(bits, ber, weights[low_at[:, done:k]].swapaxes(1, 2),
+                                            count, screened, least)
+            done = k
+            margin = 8 * (n + k + 4) * 2.0 ** -53
+            fit = (high.sum(axis=1) * (1.0 + margin) / w_col <= p_live) & open_
+            over = (screened[:, :, 0].sum(axis=1) * (1.0 - margin) / w_col > p_live) & open_
+            fits[live] |= fit
+            open_ &= ~fit & ~over.any(axis=1, keepdims=True)
+    totals = np.where((~fits) @ one_hot, -1, saturation)
+    totals[zero] = 0
+    return totals
+
+
 def sweep_total_bits(grids, gammas, p_t, granularity: str) -> np.ndarray:
     """Bit totals of every (SNR grid, constraint grid) pair.
 
@@ -518,12 +718,18 @@ def sweep_total_bits(grids, gammas, p_t, granularity: str) -> np.ndarray:
     target or S, and every target must lie in (0, 0.5); the granularity
     must be "subcarrier" or "block".  Each is refused with ValueError, in
     the words of the single-grid solvers and SweepConfig where they have
-    one.  The sweep's grids are all new, so this bypasses the memo.
+    one; a gammas array that is not 3-D is refused with its whole shape.
+    The sweep's grids are all new, so this bypasses the memo.
 
-    In subcarrier granularity the greedy core runs once per distinct
-    target, over that target's SNR grids: one batched call scores their
-    full bits x BER table, with one BER kernel call per scheme over all of
-    them, and its totals are written back to their rows.  In block
+    In subcarrier granularity _certified_totals first decides each pair
+    whose W is 0 or its grid's saturation total, from a gamma limit per
+    scheme and target and a screen of each SNR grid's lowest gammas, with
+    no table.  An SNR grid whose pairs it all decides is done.  For the
+    others the greedy core runs once per distinct target, over that
+    target's SNR grids: one batched call scores their full bits x BER
+    table, with one BER kernel call per scheme over all of them, and its
+    totals are written back to their rows; a certified total equals the
+    core's (see _certified_totals for why).  In block
     granularity _block_totals gives W directly, every row at its own
     target in one call: it computes only the rows a block total can depend
     on and keeps the best W per pair with the block core's own
@@ -535,8 +741,12 @@ def sweep_total_bits(grids, gammas, p_t, granularity: str) -> np.ndarray:
     if not len(grids):
         raise ValueError("grids must hold at least one constraint grid")
     gammas = np.asarray(gammas, dtype=float)
+    if gammas.ndim != 3:
+        raise ValueError(
+            f"gammas must be an (S, n_f, n_t) stack of SNR grids, got shape {gammas.shape}"
+        )
     for g in grids:
-        if gammas.ndim != 3 or gammas.shape[1:] != (g.n_f, g.n_t):
+        if gammas.shape[1:] != (g.n_f, g.n_t):
             raise ValueError(
                 f"SNR grid {gammas.shape[1:]} does not match constraints ({g.n_f}, {g.n_t})"
             )
@@ -555,9 +765,10 @@ def sweep_total_bits(grids, gammas, p_t, granularity: str) -> np.ndarray:
     flat = _time_major(gammas)
     if granularity != "subcarrier":
         return _block_totals(masks, flat, p_t)
-    totals = np.empty((len(flat), len(masks)), dtype=np.int64)
-    for target in np.unique(p_t):
-        at = np.flatnonzero(p_t == target)
+    totals = _certified_totals(masks, _checked_gamma(flat), p_t)
+    undecided = (totals < 0).any(axis=1)
+    for target in np.unique(p_t[undecided]):
+        at = np.flatnonzero(undecided & (p_t == target))
         cost = _ber_table(flat[at])
         cost *= CATALOG_BITS[:, None]
         totals[at] = _greedy_lockstep(masks[None], cost[:, None], target)[2]
@@ -703,6 +914,54 @@ def _block_scores(mask, cost, bits, p_t):
     return weighted, avg, np.where(avg <= p_t, w, 0)
 
 
+def _screen(bits, ber, weights, count, screened, least):
+    """One screen stage: bounds on column sums of scheme s's costs,
+    bits x BER, from each SNR grid's lowest gammas alone.
+
+    gamma (rows, m) holds each SNR grid's newly screened gammas, none above
+    any of its unscreened gammas, and weights (rows, m, cols) their 0/1
+    weights in each column; count (cols,) is each column's weight over all
+    N positions.  screened (rows, 2, cols) and least (rows,) carry the
+    earlier stages' sums and least screened BER (0.0 and inf before the
+    first).  Returns them with this stage's gammas added, and high.  Of the
+    k gammas screened so far, screened[:, 0] is L, the sum of the weighted
+    costs, and screened[:, 1] their weight; high is L plus the unscreened
+    weight times bits x (least screened BER + _SLACK).  One kernel call
+    evaluates the new gammas.  The block filler (_block_totals) and the
+    saturation certificate (_certified_totals) both bound with it.
+
+    Why the bounds hold: a column's exact sum X of its weighted costs is at
+    least the exact L, since every cost is non-negative, and at most the
+    exact high, since every unscreened gamma is at least every screened
+    one, so its BER is at most the least screened BER plus _SLACK / 2, and
+    the add of _SLACK rounds off less than half an ulp of 1, far below
+    _SLACK / 2.  Any summation of m non-negative floats lies within a
+    factor 1 +- gamma_(m-1), gamma_j = j u / (1 - j u) with u = 2^-53, of
+    the exact sum (Higham, Accuracy and Stability of Numerical Algorithms,
+    section 4.2).  L sums k costs over the stages, in any order, so the
+    computed L is at most (1 + gamma_k) X; high adds three roundings, the
+    products by bits and by the unscreened weight and the add, so the
+    computed high is at least (1 - gamma_(k+2)) X.  Each caller widens both
+    by a margin that also covers its own arithmetic.
+
+    The bounds rest on two properties of the computed kernel, not of its
+    formula.  The QAM and ASK terms carry negative coefficients and the PSK
+    tail adds a negative Owen's T, so non-negativity is one.  The other:
+    no computed BER lies more than _SLACK / 2 above its value at a lower
+    gamma.  tests/test_modulation.py::test_ber_range_and_monotonicity_in_gamma
+    checks both for every scheme at gamma 0, 5e-324 and a dense log scan up
+    to 1e300, where the largest rise is 1.11e-16, one ulp at BER 0.5.
+    """
+    # per row, the stage's sum of weighted costs and its weight
+    terms = np.ones(ber.shape[:-1] + (2, ber.shape[-1]))
+    np.multiply(bits, ber, out=terms[..., 0, :])
+    screened = screened + terms @ weights
+    least = np.minimum(least, ber.min(axis=-1))
+    # every unscreened position at the least screened BER plus _SLACK
+    rest = (count - screened[..., 1, :]) * (bits * (least + _SLACK)[..., None])
+    return screened, least, screened[..., 0, :] + rest
+
+
 def _block_totals(masks, gamma, p_t):
     """W, the total block_allocate gives, of every (SNR grid, constraint grid).
 
@@ -718,30 +977,26 @@ def _block_totals(masks, gamma, p_t):
     each needed row in stages: one argpartition orders each row's lowest
     gammas so that stage k holds its k lowest, for each k in _STAGES below
     N, and each stage calls the kernel only on the gammas it adds, for the
-    rows still open.  From the k screened costs alone, per grid: the lower
-    bound is the sum L of the allowed screened costs, and the upper bound
-    is L plus the allowed unscreened count times bits x (least screened BER
-    + _SLACK).  They are scaled by 1 - margin and 1 + margin and divided by
-    w as the core divides.  A lower bound above p_t proves the row does not
-    fit; an upper bound at most p_t proves it fits, and best takes w;
-    otherwise the grid stays open.  A row with no open grid leaves the
-    screen, and one kernel call computes in full only the rows still open
-    after the last stage; the core's _block_scores decides which grids
-    they fit and raises their best W.
+    rows still open.  _screen bounds each grid's sum of allowed costs from
+    the k screened costs alone, the lower sum L and the upper sum high.
+    They are scaled by 1 - margin and 1 + margin and divided by w as the
+    core divides.  A lower bound above p_t proves the row does not fit; an
+    upper bound at most p_t proves it fits, and best takes w; otherwise the
+    grid stays open.  A row with no open grid leaves the screen, and one
+    kernel call computes in full only the rows still open after the last
+    stage; the core's _block_scores decides which grids they fit and
+    raises their best W.
 
     Why the bounds hold: the core sums a row's N masked costs, each
-    non-negative, and any summation of m non-negative floats lies within a
-    factor 1 +- gamma_(m-1), gamma_j = j u / (1 - j u) with u = 2^-53, of
-    the exact sum (Higham, Accuracy and Stability of Numerical Algorithms,
-    section 4.2).  The screen's sum of k costs, in any order, obeys the same
-    bound with k; the product by the unscreened count, the add and the
-    scaling round once each.  The exact L is at most the row's exact sum
-    and the exact upper sum at least it, so the lower bound is at most the
-    core's computed sum when margin >= (N + k + 1) u, and the upper bound
-    at least it when margin >= (N + k + 2) u, up to terms of order
-    ((N + k) u)^2.  margin = 2 (N + k) u covers both for N + k >= 4 and far
-    beyond any grid's N.  Division by the same w > 0 is monotone, so each
-    bound's average is on its side of the core's.
+    non-negative, within a factor 1 +- gamma_(N-1) of the exact sum X, and
+    _screen's computed L is at most (1 + gamma_k) X and its computed high
+    at least (1 - gamma_(k+2)) X.  With the scaling, which rounds once, the
+    lower bound is at most the core's computed sum when margin >=
+    (N + k + 1) u, and the upper bound at least it when margin >=
+    (N + k + 2) u, up to terms of order ((N + k) u)^2.  margin =
+    2 (N + k) u covers both for N + k >= 4 and far beyond any grid's N.
+    Division by the same w > 0 is monotone, so each bound's average is on
+    its side of the core's.
 
     Why this is the core's W: _ber_kernel is elementwise, so an exact row
     holds the full table's floats, and _block_scores sums each row over the
@@ -752,17 +1007,6 @@ def _block_totals(masks, gamma, p_t):
     grid, not the bits order, so a lower level with the larger w (a custom
     profile may allow 64-QAM at one position only) is still computed.  Each
     row's bounds and fit compare with that row's own target only.
-
-    The bounds rest on two properties of the computed kernel, not of its
-    formula.  The QAM and ASK terms carry negative coefficients and the PSK
-    tail adds a negative Owen's T, so non-negativity is one.  The other:
-    no computed BER lies more than _SLACK / 2 above its value at a lower
-    gamma.  Every unscreened gamma is at least every screened one, so its
-    BER is at most the least screened BER plus _SLACK / 2, and the add of
-    _SLACK rounds off less than half an ulp of 1, far below _SLACK / 2.
-    tests/test_modulation.py::test_ber_range_and_monotonicity_in_gamma
-    checks both for every scheme at gamma 0, 5e-324 and a dense log scan up
-    to 1e300, where the largest rise is 1.11e-16, one ulp at BER 0.5.
     """
     gamma = _checked_gamma(gamma)
     rows, n = gamma.shape
@@ -786,17 +1030,12 @@ def _block_totals(masks, gamma, p_t):
             if not at.size:
                 break
             ber = _ber_kernel(s, low_gamma[at, done:k])
-            # per grid, the stage's sum of allowed costs and its allowed count
-            terms = np.ones((at.size, 2, k - done))
-            np.multiply(s.bits, ber, out=terms[:, 0])
-            screened = screened + terms @ allowed[i][low_at[at, done:k]]
-            least = np.minimum(least, ber.min(axis=1))
+            screened, least, high = _screen(s.bits, ber, allowed[i][low_at[at, done:k]],
+                                            count[:, i], screened, least)
             done = k
             margin = 2 * (n + k) * 2.0 ** -53
-            # every unscreened position at the least screened BER plus _SLACK
-            rest = (count[:, i] - screened[:, 1]) * (s.bits * (least + _SLACK))[:, None]
             low = screened[:, 0] * (1.0 - margin) / w_div
-            high = (screened[:, 0] + rest) * (1.0 + margin) / w_div
+            high = high * (1.0 + margin) / w_div
             p_at = p_t[at]
             fits = high <= p_at
             best[at] = np.maximum(best[at], np.where(fits, w, 0))

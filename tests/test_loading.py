@@ -38,9 +38,12 @@ from ofdmse.loading import (
     _ber_table,
     _block_core,
     _block_totals,
+    _certified_totals,
     _dense_candidates,
+    _gamma_limit,
     _greedy_lockstep,
     _initial_silent,
+    _SATURATION_STAGES,
     _set_size,
     _to_allocation,
 )
@@ -53,7 +56,7 @@ from ofdmse.modulation import (
     min_snr_for,
     scheme_from_name,
 )
-from ofdmse.systems import ConstraintGrid, Role, build_profile
+from ofdmse.systems import ConstraintGrid, Role, _parse_family_set, build_profile
 
 Q_SQRT2 = 0.078649603525142565  # BPSK BER at gamma = 1
 
@@ -806,6 +809,15 @@ class TestSweepRefusals:
             sweep_total_bits(self.FB, np.full((1, 1, 1), 1e6), 1e-3, granularity)
 
     @pytest.mark.parametrize("granularity", ["subcarrier", "block"])
+    @pytest.mark.parametrize("shape", [(7,), (12, 7), (3, 12, 7, 1)])
+    def test_stack_that_is_not_3d_refused(self, granularity, shape):
+        # one (n_f, n_t) grid, a flat row or a 4-D array is named by its
+        # whole shape, not by the shape of its trailing axes
+        with pytest.raises(ValueError, match=rf"^gammas must be an \(S, n_f, n_t\) stack of "
+                                             rf"SNR grids, got shape {re.escape(str(shape))}$"):
+            sweep_total_bits(self.FB, np.full(shape, 1e6), 1e-3, granularity)
+
+    @pytest.mark.parametrize("granularity", ["subcarrier", "block"])
     def test_transposed_stack_refused(self, granularity):
         with pytest.raises(ValueError, match=r"^SNR grid \(7, 12\) does not match "
                                              r"constraints \(12, 7\)$"):
@@ -838,6 +850,241 @@ class TestSweepRefusals:
     def test_unknown_granularity_refused(self):
         with pytest.raises(ValueError, match="^granularity must be subcarrier or block$"):
             sweep_total_bits(self.FB, np.full((1, 12, 7), 1e6), 1e-3, "blok")
+
+
+def lockstep_totals(masks, gamma, p_t):
+    """_greedy_lockstep's W of every (row, grid) on the full table, at one
+    target or one per row."""
+    p_t = np.broadcast_to(p_t, len(gamma))
+    cost = full_block_table(gamma)
+    totals = np.empty((len(gamma), len(masks)), dtype=np.int64)
+    for target in np.unique(p_t):
+        at = p_t == target
+        totals[at] = _greedy_lockstep(masks[None], cost[at][:, None], target)[2]
+    return totals
+
+
+def certified_per_grid(masks, gamma, p_t):
+    """_certified_totals of each constraint grid alone, as columns: the
+    reach of the certificates, which one grid's ruling-out in a batch
+    would otherwise cut short for the others."""
+    p_t = np.broadcast_to(np.asarray(p_t, dtype=float), len(gamma))
+    return np.hstack([_certified_totals(m[None], gamma, p_t) for m in masks])
+
+
+def assert_certificates_hold(masks, gamma, p_t):
+    """Every W a certificate decides, for the batch and for each grid
+    alone, is the lockstep's W.  Returns (per-grid totals, lockstep W)."""
+    w = lockstep_totals(masks, gamma, p_t)
+    batch = _certified_totals(masks, gamma, np.broadcast_to(np.asarray(p_t, dtype=float),
+                                                            len(gamma)))
+    alone = certified_per_grid(masks, gamma, p_t)
+    for cert in (batch, alone):
+        assert cert.dtype == np.int64 and cert.shape == w.shape
+        np.testing.assert_array_equal(np.where(cert >= 0, cert, w), w)
+    # a grid alone is decided wherever the batch decides it
+    assert np.all((alone >= 0) | (batch < 0))
+    return alone, w
+
+
+#: custom position sets: test_reference_sweep's MIXED families, a top level
+#: shared by two schemes (16-PSK and 16-QAM) and a silent-only position
+POSITION_SETS = [_parse_family_set(f) for f in
+                 ["qam:64,psk:2", "psk:16", "ask:4", "qam:16,ask:8,psk:4", "psk:16,qam:16",
+                  "psk:1"]]
+
+
+def set_masks(sets):
+    """(n_schemes, N) mask of a position sequence of allowed sets."""
+    mask = np.zeros((N_SCHEMES, len(sets)), dtype=bool)
+    for p, schemes in enumerate(sets):
+        mask[[CATALOG.index(s) for s in schemes], p] = True
+    return mask
+
+
+@st.composite
+def certificate_problems(draw):
+    """(masks, gamma, p_t) for the certificates.
+
+    "random" draws every mask entry on 5 to 40 positions, a silent scheme
+    kept at each; "profiles" takes fb, cm, lte and mlte on 12 x 7;
+    "mixed" builds grids from POSITION_SETS.  Each row's gammas are an SNR
+    of -30 to 60 dB times per-position fades of -25 to +10 dB, shared by
+    the rows or not, so rows fall at W = 0, at saturation and between.
+    p_t is 1e-3, 1e-2 or log-uniform in (1e-6, 0.3), one or one per row.
+    """
+    kind = draw(st.sampled_from(["random", "profiles", "mixed"]))
+    if kind == "profiles":
+        masks = np.stack([flat_mask(build_profile(n).grid) for n in ("fb", "cm", "lte", "mlte")])
+    else:
+        n_grids, n = draw(st.integers(1, 4)), draw(st.integers(5, 40))
+        if kind == "random":
+            masks = draw(arrays(bool, (n_grids, N_SCHEMES, n)))
+            keep = draw(arrays(np.int64, (n_grids, 1, n), elements=st.sampled_from(SILENT_ROWS)))
+            np.put_along_axis(masks, keep, True, axis=1)
+        else:
+            picks = draw(arrays(np.int64, (n_grids, n),
+                                elements=st.integers(0, len(POSITION_SETS) - 1)))
+            masks = np.stack([set_masks([POSITION_SETS[i] for i in row]) for row in picks])
+    rows, n = draw(st.integers(1, 5)), masks.shape[-1]
+    snr_db = draw(arrays(float, (rows, 1), elements=st.floats(-30.0, 60.0)))
+    fades_db = draw(arrays(float, (draw(st.sampled_from([1, rows])), n),
+                           elements=st.floats(-25.0, 10.0)))
+    gamma = 10.0 ** ((snr_db + fades_db) / 10.0)
+    target = st.sampled_from([1e-3, 1e-2]) | st.floats(1e-6, 0.3)
+    p_t = draw(arrays(float, draw(st.sampled_from([(), (rows,)])), elements=target))
+    return masks, gamma, p_t
+
+
+class TestCertificates:
+    """_certified_totals decides W = 0 and W = saturation without the table,
+    and every W it decides is the lockstep's."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(problem=certificate_problems())
+    def test_certified_totals_are_the_locksteps(self, problem):
+        assert_certificates_hold(*problem)
+
+    def test_profiles_at_extreme_snr_are_decided(self):
+        # every built-in profile at -30 dB is silent and at 60 dB saturated
+        masks = np.stack([flat_mask(build_profile(n).grid) for n in ("fb", "cm", "lte", "mlte")])
+        gamma = time_major(sweep_draws(1)[0, [0]]) * 10.0 ** np.array([[-3.0], [6.0]])
+        cert, w = assert_certificates_hold(masks, gamma, 1e-3)
+        np.testing.assert_array_equal(cert, [[0] * 4, [504, 336, 480, 484]])
+
+    def test_silent_grid_is_decided(self):
+        masks = set_masks([POSITION_SETS[-1]] * 6)[None]
+        cert, w = assert_certificates_hold(masks, np.full((2, 6), [[1e-3], [1e6]]), 1e-3)
+        np.testing.assert_array_equal(cert, [[0], [0]])
+
+    @staticmethod
+    def zero_problem(offset):
+        """8 BPSK positions whose largest gamma is BPSK's zero limit at
+        p_t 1e-2, moved by offset ulps; the others sit lower."""
+        limit = _gamma_limit(CATALOG.index(BPSK), 1e-2)
+        top = limit
+        for _ in range(abs(offset)):
+            top = np.nextafter(top, np.inf if offset > 0 else 0.0)
+        gamma = np.array([[top, *np.linspace(0.5, 0.9, 7) * limit]])
+        return set_masks([{SILENT, BPSK}] * 8)[None], gamma, 1e-2
+
+    @pytest.mark.parametrize("offset,decided", [(-1, True), (0, True), (1, False)])
+    def test_zero_bound_at_the_limit(self, offset, decided):
+        # a largest gamma at the limit is silent; one ulp above, the
+        # certificate declines, though the lockstep still loads nothing
+        cert, w = assert_certificates_hold(*self.zero_problem(offset))
+        assert w.tolist() == [[0]]
+        assert cert.tolist() == [[0 if decided else -1]]
+
+    def test_zero_bound_takes_the_largest_gamma(self):
+        # one deep fade does not silence a grid whose other positions load
+        masks, gamma, p_t = self.zero_problem(0)
+        gamma[0, 1:] *= 1e3
+        cert, w = assert_certificates_hold(masks, gamma, p_t)
+        assert w[0, 0] > 0
+
+    @staticmethod
+    def saturation_problem(offset):
+        """16 QAM4 positions, one at gamma 4 and 15 at 1e300, whose BER is
+        0, and 4 silent ones above them, so the last stage screens every
+        QAM4 position and its upper sum is the exact 2 BER(4): p_t is that
+        sum's margined average, moved by offset ulps."""
+        n, k = 20, 16
+        assert k in _SATURATION_STAGES and k < n and _SATURATION_STAGES[-1] >= n
+        qam4 = scheme_from_name("QAM4")
+        gamma = np.array([[4.0] + [1e300] * 15 + [1.5e300] * 4])
+        masks = set_masks([{SILENT, qam4}] * 16 + [{SILENT}] * 4)[None]
+        high = 2 * ber(qam4, 4.0)
+        p_t = high * (1.0 + 8 * (n + k + 4) * 2.0 ** -53) / 32
+        for _ in range(abs(offset)):
+            p_t = np.nextafter(p_t, 1.0 if offset > 0 else 0.0)
+        return masks, gamma, p_t
+
+    @pytest.mark.parametrize("offset,decided", [(-1, False), (0, True), (1, True)])
+    def test_saturation_bound_at_the_limit(self, offset, decided):
+        # an upper bound average at p_t proves saturation; one ulp below,
+        # the certificate declines, though the lockstep still saturates
+        cert, w = assert_certificates_hold(*self.saturation_problem(offset))
+        assert w.tolist() == [[32]]
+        assert cert.tolist() == [[32 if decided else -1]]
+
+    def test_margin_covers_the_loops_rounding(self):
+        # 16 QAM16 positions and 4 silent ones.  p_t is one ulp below the
+        # average the loop computes at saturation, so the loop stops at 60
+        # bits.  The last stage's upper sum, which sums the same 16 costs
+        # in another order, is one ulp lower: without the margin it would
+        # prove saturation
+        gamma = np.array([[13.605879486015692, 11.771270060124689, 7.891083660440888,
+                           4.346369876484803, 2.8224437553104877, 9.708810897504915, 1e300,
+                           1e300, 25.61077318971999, 20.402719020404305, 12.499835319073453,
+                           2.2463154267062264, 1e300, 31.08042982553247, 24.651649107623637,
+                           12.898424984051076, 9.351669743571023, 2.4046642837427794,
+                           36.383379565453154, 1e300]])
+        masks = set_masks([{SILENT} | ({QAM16} if g < 1e300 else set()) for g in gamma[0]])[None]
+        p_t = 0.06963531525935152
+        highs = []
+        real_screen = loading._screen
+
+        def recording(*args):
+            out = real_screen(*args)
+            highs.append(out[2].sum(axis=1))
+            return out
+
+        with mock.patch.object(loading, "_screen", recording):
+            cert, w = assert_certificates_hold(masks, gamma, p_t)
+        assert w.tolist() == [[60]] and cert.tolist() == [[-1]]
+        assert float(highs[-1][0, 0]) / 64 <= p_t
+
+    def test_group_ends_are_taken_from_the_most_bits(self):
+        # one 64-QAM position at gamma 34.6 and 50 BPSK positions at 4.68.
+        # The whole grid fits p_t at saturation, and so does the BPSK group
+        # alone, but the 64-QAM group alone does not: the loop loads two
+        # BPSK positions first, and then the guard rejects the 64-QAM jump
+        # for good, so W is 50.  Group ends taken from the fewest bits would
+        # prove saturation, 56
+        gamma = np.array([[34.64119591096228] + [4.677485870517324] * 50])
+        qam64 = scheme_from_name("QAM64")
+        masks = set_masks([{SILENT, qam64}] + [{SILENT, BPSK}] * 50)
+        p_t = 0.043834597360323385
+        cost = full_block_table(gamma)[0]
+        assert cost[CATALOG.index(qam64), 0] / 6 > p_t
+        assert (cost[CATALOG.index(qam64), 0] + cost[CATALOG.index(BPSK), 1:].sum()) / 56 < p_t
+        assert_lockstep_matches_core(masks[None], gamma, p_t)
+        cert, w = assert_certificates_hold(masks[None], gamma, p_t)
+        assert w.tolist() == [[50]] and cert.tolist() == [[-1]]
+
+    def test_decided_grids_get_no_table_row(self):
+        # a stack of silent and saturated grids builds no table and runs
+        # no lockstep; a stack with one grid between builds one table row
+        grids = [build_profile(n).grid for n in ("fb", "cm", "lte", "mlte")]
+        gammas = sweep_draws(1)[0, [0, 0, 0]] * np.array([1e-3, 1e6, 1.0])[:, None, None]
+        rows = []
+
+        def counting(gamma):
+            rows.append(len(gamma))
+            return _ber_table(gamma)
+
+        with mock.patch.object(loading, "_ber_table", counting):
+            decided = sweep_total_bits(grids, gammas[:2], 1e-3, "subcarrier")
+            assert rows == []
+            mixed = sweep_total_bits(grids, gammas, 1e-3, "subcarrier")
+        assert rows == [1]
+        np.testing.assert_array_equal(decided, [[0] * 4, [504, 336, 480, 484]])
+        np.testing.assert_array_equal(mixed[:2], decided)
+        assert mixed[2].tolist() == [greedy_allocate(gammas[2], g, 1e-3).total_bits
+                                     for g in grids]
+
+    @pytest.mark.parametrize("p_t", [1e-3, 1e-2])
+    def test_default_draws_decide_most_extreme_pairs(self, p_t):
+        # of the (SNR grid, system) pairs the lockstep puts at W = 0 or at
+        # saturation on these 40 draws, the certificates decide 878 of 878
+        # at p_t 1e-3 and 1236 of 1252 at 1e-2; a margin or a stage
+        # schedule that is too loose would show here, not as a wrong total
+        masks = np.stack([flat_mask(build_profile(n).grid) for n in ("fb", "cm", "lte", "mlte")])
+        gamma = time_major(np.concatenate(sweep_draws(40)))
+        cert, w = assert_certificates_hold(masks, gamma, p_t)
+        extreme = (w == 0) | (w == np.array([504, 336, 480, 484]))
+        assert np.count_nonzero(cert[extreme] >= 0) >= 0.95 * np.count_nonzero(extreme)
 
 
 class TestSetSize:
