@@ -179,9 +179,15 @@ def _grid_table(flat: np.ndarray) -> np.ndarray:
 
 def _ber_table(gamma: np.ndarray) -> np.ndarray:
     """position_ber_table of flat gammas with leading dimensions:
-    (..., N) -> (..., n_schemes, N); checks gamma once, then one BER
-    kernel call per scheme."""
-    gamma = _checked_gamma(gamma)
+    (..., N) -> (..., n_schemes, N); checks gamma once, then
+    _table_of_checked."""
+    return _table_of_checked(_checked_gamma(gamma))
+
+
+def _table_of_checked(gamma: np.ndarray) -> np.ndarray:
+    """_ber_table of gammas that _checked_gamma has passed: one BER kernel
+    call per scheme.  The greedy sweep checks its whole stack once, for the
+    certificates, and builds the table of the undecided rows with this."""
     table = np.zeros(gamma.shape[:-1] + (N_SCHEMES, gamma.shape[-1]))
     for i, s in enumerate(CATALOG):
         if not s.silent:
@@ -651,7 +657,9 @@ def _certified_totals(masks, gamma, p_t):
     leaves the screen once one of its pairs is ruled out, because it then
     goes to the table whatever its other pairs give: by a first-stage
     position below its alone limit, or by a lower sum that, times
-    1 - margin, exceeds p_t w.  A ruling decides nothing, so the
+    1 - margin, exceeds p_t w.  The alone ruling needs no kernel call, so
+    it closes the grids whose lowest gammas sit in a deep fade before the
+    first stage computes their top rows.  A ruling decides nothing, so the
     certificates' reach is measured one constraint grid at a time.
     """
     key, (rows, n) = masks.tobytes(), gamma.shape
@@ -765,11 +773,12 @@ def sweep_total_bits(grids, gammas, p_t, granularity: str) -> np.ndarray:
     flat = _time_major(gammas)
     if granularity != "subcarrier":
         return _block_totals(masks, flat, p_t)
-    totals = _certified_totals(masks, _checked_gamma(flat), p_t)
+    flat = _checked_gamma(flat)
+    totals = _certified_totals(masks, flat, p_t)
     undecided = (totals < 0).any(axis=1)
     for target in np.unique(p_t[undecided]):
         at = np.flatnonzero(undecided & (p_t == target))
-        cost = _ber_table(flat[at])
+        cost = _table_of_checked(flat[at])
         cost *= CATALOG_BITS[:, None]
         totals[at] = _greedy_lockstep(masks[None], cost[:, None], target)[2]
     return totals

@@ -45,6 +45,7 @@ from ofdmse.loading import (
     _initial_silent,
     _SATURATION_STAGES,
     _set_size,
+    _table_of_checked,
     _to_allocation,
 )
 from ofdmse.modulation import (
@@ -1062,9 +1063,9 @@ class TestCertificates:
 
         def counting(gamma):
             rows.append(len(gamma))
-            return _ber_table(gamma)
+            return _table_of_checked(gamma)
 
-        with mock.patch.object(loading, "_ber_table", counting):
+        with mock.patch.object(loading, "_table_of_checked", counting):
             decided = sweep_total_bits(grids, gammas[:2], 1e-3, "subcarrier")
             assert rows == []
             mixed = sweep_total_bits(grids, gammas, 1e-3, "subcarrier")
@@ -1349,6 +1350,7 @@ class TestBlockCost:
         gammas = sweep_draws(1)[0]
         expected = sweep_total_bits(grids, gammas, 1e-3, "block")
         with mock.patch.object(loading, "_ber_table", side_effect=AssertionError), \
+                mock.patch.object(loading, "_table_of_checked", side_effect=AssertionError), \
                 mock.patch.object(loading, "_block_core", side_effect=AssertionError):
             np.testing.assert_array_equal(
                 sweep_total_bits(grids, gammas, 1e-3, "block"), expected)
