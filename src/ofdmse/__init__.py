@@ -43,7 +43,6 @@ from .systems import (
     build_profile,
     load_profile,
     lte_pilot_positions,
-    saturation_bits,
 )
 
 __all__ = [
@@ -74,7 +73,6 @@ __all__ = [
     "position_ber_table",
     "run_ber_validation",
     "run_sweep",
-    "saturation_bits",
     "scheme_from_name",
     "simulate_ber",
     "snr_grid",

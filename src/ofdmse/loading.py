@@ -21,9 +21,10 @@ certificates decide the sweep's pairs at W = 0 and at saturation without
 the BER table (_certified_totals), so an SNR grid whose pairs are all
 decided gets no table row and no core run.  The block sweep's filler
 (_block_totals) and the saturation certificate bound sums of costs with
-one screen (_screen) from each grid's lowest gammas.  The single-grid
-solvers, evaluate_avg_ber and position_ber_table read the BER table of the
-most recent grid through one memo, so consecutive calls on one grid share it.
+one screen (_screen), in one stage schedule (_STAGES), from each grid's
+lowest gammas.  The single-grid solvers, evaluate_avg_ber and
+position_ber_table read the BER table of the most recent grid through one
+memo, so consecutive calls on one grid share it.
 
 Positions are ordered time-major, pos = l * n_f + k, and all tie-breaks are
 total orders, so every solver is deterministic.
@@ -91,18 +92,16 @@ _SILENT_ROWS = np.array([i for i, s in enumerate(CATALOG) if s.silent])
 _BITS_DESCENDING = sorted((i for i, s in enumerate(CATALOG) if not s.silent),
                           key=lambda i: -CATALOG[i].bits)
 
-#: The block sweep filler's screen stages: a row is bounded after its k
-#: lowest gammas' BERs, for each k in turn, before it is computed in full
-#: (see _block_totals).
-_STAGES = (4, 16)
+#: The screen's stages: the block sweep's filler and the saturation
+#: certificate bound a row after its k lowest gammas' BERs, for each k below
+#: N in turn, before the row is computed in full or left to the lockstep
+#: (see _lowest_gammas, _block_totals and _certified_totals).
+_STAGES = (4, 16, 32)
 
 #: The screen's upper bound puts each unscreened position at the least
 #: screened BER plus this (see _screen): twice the rise above a lower
 #: gamma's BER that the computed kernel is tested to stay within.
 _SLACK = 1e-15
-
-#: The saturation certificate's screen stages (see _certified_totals).
-_SATURATION_STAGES = (4, 16, 32)
 
 
 @dataclass(frozen=True)
@@ -557,23 +556,7 @@ def _extremes_plan(key: bytes, n: int):
     return plan
 
 
-@lru_cache(maxsize=64)
-def _target_limits(key: bytes, n: int, p_t: float):
-    """The certificates' gamma limits at one target, for _extremes_plan(key,
-    n): (zero, alone), read-only.  zero (n_schemes,) is each catalog row's
-    _gamma_limit at p_t; alone (R, cols) is each designated top row's
-    _gamma_limit at p_t w / bits, below which one position's cost alone
-    exceeds p_t times the column's bit total w, and -1.0 where the column
-    does not use the row."""
-    _uses, top_rows, bits, _weights, count, w_col, *_rest = _extremes_plan(key, n)
-    zero = np.array([_gamma_limit(i, p_t) for i in range(N_SCHEMES)])
-    alone = np.array([[_gamma_limit(i, p_t * w / b) if c else -1.0 for w, c in zip(w_col, used)]
-                      for i, b, used in zip(top_rows, bits[:, 0], count)])
-    alone = alone.reshape(count.shape)
-    zero.flags.writeable = alone.flags.writeable = False
-    return zero, alone
-
-
+@lru_cache(maxsize=128)
 def _gamma_limit(i: int, q: float) -> float:
     """A gamma at and below which catalog row i's computed BER exceeds q.
 
@@ -583,7 +566,8 @@ def _gamma_limit(i: int, q: float) -> float:
     then 64 steps between the last qualifying gamma and the next, twice;
     three kernel calls.  By the kernel property of _screen, the BER at any
     lower gamma is at least the BER there less _SLACK / 2, which is above
-    q (1 + 5 u) (1 - u)^-2.
+    q (1 + 5 u) (1 - u)^-2.  It depends on (i, q) alone, so a sweep's calls
+    share it.
     """
     s = CATALOG[i]
     if s.silent:
@@ -607,10 +591,10 @@ def _certified_totals(masks, gamma, p_t):
     p_t (rows,) one target per row.  A decided W is the one _greedy_lockstep
     gives on the full bits x BER table, and so the serial loop's (see
     _greedy_lockstep), found without that table.  What depends on the grids
-    alone comes from _extremes_plan, and on the grids and a target from
-    _target_limits, each computed once.  Both certificates are sufficient
-    only: a pair that neither decides goes to the table and the lockstep.
-    u = 2^-53.
+    alone comes from _extremes_plan, and each scheme's zero limit at a
+    target from _gamma_limit, each computed once.  Both certificates are
+    sufficient only: a pair that neither decides goes to the table and the
+    lockstep.  u = 2^-53.
 
     Zero.  From the all-silent state the loop's first screen compares
     (0 + c) - 0 = c over g with p_t, for each allowed entry of cost
@@ -651,36 +635,27 @@ def _certified_totals(masks, gamma, p_t):
     4.02 N u and the loop's (N + 1) u: 8 (N + k + 4) >= 5.02 N + k + 15,
     with room for the second-order terms.
 
-    The screen runs in the stages of _SATURATION_STAGES below N, each
-    designated row at the SNR grids where a column that uses it is open.
-    A pair that no stage settles is left to the lockstep.  An SNR grid
-    leaves the screen once one of its pairs is ruled out, because it then
-    goes to the table whatever its other pairs give: by a first-stage
-    position below its alone limit, or by a lower sum that, times
-    1 - margin, exceeds p_t w.  The alone ruling needs no kernel call, so
-    it closes the grids whose lowest gammas sit in a deep fade before the
-    first stage computes their top rows.  A ruling decides nothing, so the
+    The screen runs in the stages of _STAGES below N (see _lowest_gammas),
+    each designated row at the SNR grids where a column that uses it is
+    open.  A pair that no stage settles is left to the lockstep.  An SNR
+    grid leaves the screen once one of its pairs is ruled out, by a lower
+    sum that, times 1 - margin, exceeds p_t w, because it then goes to the
+    table whatever its other pairs give.  A ruling decides nothing, so the
     certificates' reach is measured one constraint grid at a time.
     """
-    key, (rows, n) = masks.tobytes(), gamma.shape
+    rows, n = gamma.shape
     uses, top_rows, bits, weights, count, w_col, col_grid, one_hot, saturation = \
-        _extremes_plan(key, n)
+        _extremes_plan(masks.tobytes(), n)
     targets, which = np.unique(p_t, return_inverse=True)
-    zero_at, alone = (np.stack(a) for a in zip(*(_target_limits(key, n, t) for t in targets)))
+    zero_at = np.array([[_gamma_limit(i, t) for i in range(N_SCHEMES)] for t in targets])
     zero = ~((gamma.max(axis=1)[:, None] > zero_at[which]) @ uses.T)
     fits = np.zeros((rows, len(w_col)), dtype=bool)
     live = np.flatnonzero(~zero[:, col_grid].all(axis=1))
-    stages = [k for k in _SATURATION_STAGES if k < n]
-    if stages and live.size:
-        # one partition, as in _block_totals, of the rows with an open column
-        low_gamma = gamma[live]
-        low_at = np.argpartition(low_gamma, [k - 1 for k in stages], axis=1)[:, : stages[-1]]
-        low_gamma = np.take_along_axis(low_gamma, low_at, axis=1)
+    if live.size:
+        # the screen's order of the rows with an open column
+        stages, low_at, low_gamma = _lowest_gammas(gamma[live])
         p_live = p_t[live, None]
-        first = stages[0]
-        over = ((low_gamma[:, :first, None, None] < alone[which[live], None])
-                * weights[low_at[:, :first]]).any(axis=(1, 2))
-        open_ = ~zero[live][:, col_grid] & ~over.any(axis=1, keepdims=True)
+        open_ = ~zero[live][:, col_grid]
         screened, least, done = 0.0, np.inf, 0
         for k in stages:
             keep = open_.any(axis=1)
@@ -784,12 +759,7 @@ def sweep_total_bits(grids, gammas, p_t, granularity: str) -> np.ndarray:
     return totals
 
 
-def exhaustive_allocate(
-    snr: np.ndarray,
-    constraints: ConstraintGrid,
-    p_t: float,
-    ber_table: np.ndarray | None = None,
-) -> Allocation:
+def exhaustive_allocate(snr: np.ndarray, constraints: ConstraintGrid, p_t: float) -> Allocation:
     """Enumerate every assignment; oracle for small grids.
 
     Maximizes total bits, breaking ties by lowest average BER and then by
@@ -813,7 +783,7 @@ def exhaustive_allocate(
     the full enumeration's.  Every search space takes this walk, the
     smallest included.
     """
-    mask, cost = _one_grid(snr, constraints, p_t, ber_table)
+    mask, cost = _one_grid(snr, constraints, p_t, None)
     n = mask.shape[1]
     sizes = np.count_nonzero(mask, axis=0).tolist()
     total = math.prod(sizes)  # exact: 13^84 overflows int64
@@ -923,21 +893,39 @@ def _block_scores(mask, cost, bits, p_t):
     return weighted, avg, np.where(avg <= p_t, w, 0)
 
 
+def _lowest_gammas(gamma):
+    """The screen's stages for flat gammas (rows, N): (stages, low_at,
+    low_gamma).  stages holds the k of _STAGES below N; one argpartition
+    puts each row's k lowest gammas first for every such k, so stage k
+    screens positions low_at[:, :k] at gammas low_gamma[:, :k], each
+    (rows, stages[-1]), and None where no stage lies below N.  The block
+    filler (_block_totals) and the saturation certificate
+    (_certified_totals) both screen in this order."""
+    stages = [k for k in _STAGES if k < gamma.shape[1]]
+    if not stages:
+        return stages, None, None
+    low_at = np.argpartition(gamma, [k - 1 for k in stages], axis=1)[:, : stages[-1]]
+    return stages, low_at, np.take_along_axis(gamma, low_at, axis=1)
+
+
 def _screen(bits, ber, weights, count, screened, least):
-    """One screen stage: bounds on column sums of scheme s's costs,
+    """One screen stage: bounds on column sums of a scheme row's costs,
     bits x BER, from each SNR grid's lowest gammas alone.
 
-    gamma (rows, m) holds each SNR grid's newly screened gammas, none above
-    any of its unscreened gammas, and weights (rows, m, cols) their 0/1
-    weights in each column; count (cols,) is each column's weight over all
-    N positions.  screened (rows, 2, cols) and least (rows,) carry the
-    earlier stages' sums and least screened BER (0.0 and inf before the
-    first).  Returns them with this stage's gammas added, and high.  Of the
-    k gammas screened so far, screened[:, 0] is L, the sum of the weighted
-    costs, and screened[:, 1] their weight; high is L plus the unscreened
-    weight times bits x (least screened BER + _SLACK).  One kernel call
-    evaluates the new gammas.  The block filler (_block_totals) and the
-    saturation certificate (_certified_totals) both bound with it.
+    bits and ber give the costs at each SNR grid's newly screened gammas,
+    none above any of its unscreened gammas, weights their 0/1 weights in
+    each column, and count each column's weight over all N positions.  The
+    block filler (_block_totals) screens one scheme row: scalar bits, ber
+    (rows, m), weights (rows, m, grids) and count (grids,).  The
+    saturation certificate (_certified_totals) screens its R designated top
+    rows at once: bits (R, 1), ber (rows, R, m), weights (rows, R, m, cols)
+    and count (R, cols).  screened (rows, [R,] 2, cols) and least
+    (rows, [R]) carry the earlier stages' sums and least screened BER (0.0
+    and inf before the first).  Returns them with this stage's gammas
+    added, and high.  Of the k gammas screened so far, screened[..., 0, :]
+    is L, the sum of the weighted costs, and screened[..., 1, :] their
+    weight; high is L plus the unscreened weight times bits x (least
+    screened BER + _SLACK).
 
     Why the bounds hold: a column's exact sum X of its weighted costs is at
     least the exact L, since every cost is non-negative, and at most the
@@ -983,7 +971,7 @@ def _block_totals(masks, gamma, p_t):
     The schemes are taken the most bits first.  A row needs a scheme when
     some grid allows it with w = bits x allowed count above the best W that
     grid has so far; otherwise the row is skipped.  The screen then bounds
-    each needed row in stages: one argpartition orders each row's lowest
+    each needed row in stages: _lowest_gammas orders each row's lowest
     gammas so that stage k holds its k lowest, for each k in _STAGES below
     N, and each stage calls the kernel only on the gammas it adds, for the
     rows still open.  _screen bounds each grid's sum of allowed costs from
@@ -1021,13 +1009,9 @@ def _block_totals(masks, gamma, p_t):
     rows, n = gamma.shape
     p_t = np.broadcast_to(p_t, rows)[:, None]  # one target per row, as a column
     best = np.zeros((rows, len(masks)), dtype=np.int64)
-    stages = [k for k in _STAGES if k < n]
+    stages, low_at, low_gamma = _lowest_gammas(gamma)
     count = masks.sum(axis=-1)  # (grids, n_schemes)
-    if stages:
-        # one partition: each stage's positions follow the earlier stages'
-        low_at = np.argpartition(gamma, [k - 1 for k in stages], axis=1)[:, : stages[-1]]
-        low_gamma = np.take_along_axis(gamma, low_at, axis=1)
-        allowed = masks.transpose(1, 2, 0).astype(float)  # (n_schemes, N, grids)
+    allowed = masks.transpose(1, 2, 0).astype(float)  # (n_schemes, N, grids)
     for i in _BITS_DESCENDING:
         s, mask = CATALOG[i], masks[:, i]
         w = s.bits * count[:, i]

@@ -159,15 +159,6 @@ def build_profile(name: str, n_f: int = 12, n_t: int = 7) -> SystemProfile:
     return SystemProfile(key, grid)
 
 
-def saturation_bits(profile: SystemProfile) -> int:
-    """Block bit total when every position uses its largest allowed scheme."""
-    return sum(
-        max(s.bits for s in schemes)
-        for row in profile.grid.allowed
-        for schemes in row
-    )
-
-
 _ROLES_BY_NAME = {role.value: role for role in Role}
 
 
